@@ -342,6 +342,10 @@ def resume(
     from the snapshot); only the store *kind* must match.
     """
     loaded = load_checkpoint(path)
+    from .parallel import _pool_for, _resolve_workers
+    worker_count = _resolve_workers(
+        loaded.workers if workers is None else workers, worker_timeout,
+        fault_hook)
     if spec is None:
         spec = loaded.load_spec()
 
@@ -386,28 +390,14 @@ def resume(
         target = path if checkpoint is _SAME_PATH else checkpoint
         every = loaded.checkpoint_every if checkpoint_every is None \
             else checkpoint_every
-        worker_count = loaded.workers if workers is None else workers
-        if worker_count == 0:
-            from .parallel import default_workers
-            worker_count = default_workers()
-        from .explorer import _resolve_reducer
+        from .explorer import _FullKind, _drive, _resolve_reducer
         reducer = _resolve_reducer(spec, reducer_config, stats)
-        if worker_count <= 1:
-            from .explorer import _drive
-            return _drive(spec, graph, list(loaded.frontier),
-                          depth=loaded.depth, levels=loaded.levels,
-                          elapsed_before=loaded.elapsed_seconds, stats=stats,
-                          checkpoint=target, checkpoint_every=every,
-                          reducer=reducer)
-        from .parallel import _drive_parallel
-        return _drive_parallel(spec, graph, list(loaded.frontier),
-                               depth=loaded.depth, levels=loaded.levels,
-                               elapsed_before=loaded.elapsed_seconds,
-                               stats=stats,
-                               checkpoint=target, checkpoint_every=every,
-                               workers=worker_count,
-                               worker_timeout=worker_timeout,
-                               fault_hook=fault_hook, reducer=reducer)
+        return _drive(_FullKind(spec, graph, reducer), list(loaded.frontier),
+                      depth=loaded.depth, levels=loaded.levels,
+                      elapsed_before=loaded.elapsed_seconds, stats=stats,
+                      checkpoint=target, checkpoint_every=every,
+                      expander=_pool_for(worker_count, worker_timeout,
+                                         fault_hook, stats))
     except BaseException:
         run_store.close()
         raise

@@ -17,7 +17,9 @@ BFS parent tree, same edge counts, same
 verdicts and regenerated traces, and the same streaming
 :class:`~repro.checker.digest.GraphDigest` -- for any worker count and
 across checkpoint/resume.  The engine differs from the full one only in
-what it *retains*.
+what it *retains*: it is a graph kind (:class:`_CompactKind`) for the
+one BFS driver, :func:`repro.checker.explorer._drive`, and shares that
+driver's loop and process pool with the full engine.
 
 Two scale consequences:
 
@@ -45,8 +47,6 @@ auto-disables compact with a note).
 from __future__ import annotations
 
 import base64
-import multiprocessing
-import os
 import pickle
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -64,15 +64,9 @@ from .checkpoint import (
     _read_checkpoint_payload,
 )
 from .digest import GraphDigest
-from .explorer import initial_states
+from .explorer import _drive, initial_states
 from .graph import StateSpaceExplosion
-from .parallel import (
-    _CHUNKS_PER_WORKER,
-    _MIN_CHUNK,
-    _ChunkRunner,
-    _inline_threshold,
-    default_workers,
-)
+from .parallel import _pool_for, _resolve_workers
 from .results import CheckResult, Counterexample
 from .stats import ExploreStats, maybe_phase
 
@@ -302,183 +296,36 @@ def _seed_compact(spec: Spec,
     return graph, frontier
 
 
-def _finish_compact(graph: CompactGraph, stats: Optional[ExploreStats],
-                    depth: int, elapsed: float) -> None:
-    if stats is not None:
-        stats.engine = "compact"
-        stats.record_explore(graph, depth, elapsed)
-        stats.fingerprint_collisions = graph.fingerprint_collisions
+class _CompactKind:
+    """The compact engine as a graph-kind plug-in for
+    :func:`repro.checker.explorer._drive`: rows are the packed ints of a
+    :class:`CompactGraph`, an expansion is a packed successor list, and
+    :meth:`CompactGraph.merge_successors` merges it."""
 
+    def __init__(self, spec: Spec, graph: CompactGraph):
+        self.spec = spec
+        self.graph = graph
+        self.rows = graph.packed
+        self.expand = graph.plan.successors
+        self.merge = graph.merge_successors
 
-def _drive_compact(
-    spec: Spec,
-    graph: CompactGraph,
-    frontier: List[int],
-    depth: int,
-    levels: int,
-    elapsed_before: float,
-    stats: Optional[ExploreStats] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_every: int = 1,
-    workers: int = 1,
-    worker_timeout: Optional[float] = None,
-    fault_hook: Optional[Callable] = None,
-    start: Optional[float] = None,
-) -> CompactGraph:
-    """The compact BFS loop, resumable at any level boundary (the
-    packed-int twin of :func:`repro.checker.explorer._drive`)."""
-    if start is None:
-        start = perf_counter()
-    if workers > 1:
-        return _drive_compact_parallel(
-            spec, graph, frontier, depth, levels, elapsed_before,
-            stats=stats, checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every, workers=workers,
-            worker_timeout=worker_timeout, fault_hook=fault_hook,
-            start=start)
-    successors = graph.plan.successors
-    packed = graph.packed
-    merge = graph.merge_successors
-    while frontier:
-        next_frontier: List[int] = []
-        for src in frontier:
-            next_frontier.extend(merge(src, successors(packed[src])))
+    def worker_payload(self) -> tuple:
+        """What a pool worker needs to rebuild :attr:`expand`."""
+        return ("compact", self.spec, None)
+
+    width = staticmethod(len)
+
+    def save(self, path: str, frontier: List[int], depth: int, levels: int,
+             **options) -> None:
+        save_compact_checkpoint(path, self.spec, self.graph, frontier, depth,
+                                levels, **options)
+
+    def finish(self, depth: int, elapsed: float,
+               stats: Optional[ExploreStats]) -> None:
         if stats is not None:
-            stats.record_level(len(frontier), graph)
-        frontier = next_frontier
-        levels += 1
-        if frontier:
-            depth += 1
-        if checkpoint is not None and (
-                not frontier or levels % checkpoint_every == 0):
-            save_compact_checkpoint(
-                checkpoint, spec, graph, frontier, depth, levels,
-                elapsed_seconds=elapsed_before + perf_counter() - start,
-                workers=workers, checkpoint_every=checkpoint_every,
-                stats=stats)
-    _finish_compact(graph, stats, depth,
-                    elapsed_before + perf_counter() - start)
-    return graph
-
-
-# worker-process globals, set once by _init_compact_worker
-_compact_expand: Optional[Callable[[int], List[int]]] = None
-_compact_fault: Optional[Callable] = None
-
-
-def _init_compact_worker(spec_payload: bytes, fault_hook=None) -> None:
-    """Pool initializer: build the packed plan once per worker process."""
-    global _compact_expand, _compact_fault
-    spec = pickle.loads(spec_payload)
-    _compact_expand = PackedPlan(spec).successors
-    _compact_fault = fault_hook
-
-
-def _expand_packed_chunk(chunk: List[int]):
-    """Worker body: successor emission for one packed frontier chunk.
-
-    Chunk entries are packed ints -- exact state identities -- so no
-    batch keys are needed: the coordinator pairs results back to sources
-    positionally (results arrive per chunk in submission order, batches
-    within a chunk in chunk order)."""
-    expand = _compact_expand
-    assert expand is not None, "worker used before initialization"
-    if _compact_fault is not None:
-        _compact_fault(chunk)
-    start = perf_counter()
-    batches = [expand(packed) for packed in chunk]
-    return os.getpid(), perf_counter() - start, batches
-
-
-def _packed_chunks(entries: List[int], workers: int) -> List[List[int]]:
-    """Contiguous chunks, same size rule as the full engine's sharding."""
-    target = workers * _CHUNKS_PER_WORKER
-    chunk_size = max(_MIN_CHUNK, -(-len(entries) // target))
-    return [entries[i:i + chunk_size]
-            for i in range(0, len(entries), chunk_size)]
-
-
-def _drive_compact_parallel(
-    spec: Spec,
-    graph: CompactGraph,
-    frontier: List[int],
-    depth: int,
-    levels: int,
-    elapsed_before: float,
-    stats: Optional[ExploreStats] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_every: int = 1,
-    workers: int = 2,
-    worker_timeout: Optional[float] = None,
-    fault_hook: Optional[Callable] = None,
-    start: Optional[float] = None,
-) -> CompactGraph:
-    """Multi-process compact BFS: workers expand packed chunks, the
-    coordinator merges strictly in submission order, so the graph (and
-    its digest) is bit-for-bit the serial compact graph -- the same
-    determinism argument as :func:`repro.checker.parallel._drive_parallel`,
-    with retry/crash recovery inherited from :class:`_ChunkRunner`."""
-    if start is None:
-        start = perf_counter()
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods
-                                     else methods[0])
-    payload = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-    idle = 0.0
-    worker_ids: Dict[int, int] = {}
-    successors = graph.plan.successors
-    packed = graph.packed
-    merge = graph.merge_successors
-    inline_below = _inline_threshold(workers)
-    runner = _ChunkRunner(workers, payload, ctx, worker_timeout, fault_hook,
-                          stats, initializer=_init_compact_worker,
-                          task=_expand_packed_chunk)
-    try:
-        while frontier:
-            next_frontier: List[int] = []
-            if len(frontier) < inline_below:
-                for src in frontier:
-                    next_frontier.extend(merge(src, successors(packed[src])))
-            else:
-                sources = list(frontier)
-                chunks = _packed_chunks([packed[src] for src in sources],
-                                        workers)
-                merged = 0
-                wait_from = perf_counter()
-                for pid, busy, batches in runner.run_level(chunks):
-                    idle += perf_counter() - wait_from
-                    if stats is not None:
-                        stats.record_worker_batch(
-                            worker_ids.setdefault(pid, len(worker_ids)),
-                            sources=len(batches),
-                            successors=sum(len(b) for b in batches),
-                            busy_seconds=busy,
-                        )
-                    for offset, succ_packed in enumerate(batches):
-                        next_frontier.extend(
-                            merge(sources[merged + offset], succ_packed))
-                    merged += len(batches)
-                    wait_from = perf_counter()
-            if stats is not None:
-                stats.record_level(len(frontier), graph)
-            frontier = next_frontier
-            levels += 1
-            if frontier:
-                depth += 1
-            if checkpoint is not None and (
-                    not frontier or levels % checkpoint_every == 0):
-                save_compact_checkpoint(
-                    checkpoint, spec, graph, frontier, depth, levels,
-                    elapsed_seconds=elapsed_before + perf_counter() - start,
-                    workers=workers, checkpoint_every=checkpoint_every,
-                    stats=stats)
-    finally:
-        runner.close()
-    _finish_compact(graph, stats, depth,
-                    elapsed_before + perf_counter() - start)
-    if stats is not None:
-        stats.record_parallel(workers, idle)
-    return graph
+            stats.engine = "compact"
+            stats.record_explore(self.graph, depth, elapsed)
+            stats.fingerprint_collisions = self.graph.fingerprint_collisions
 
 
 def explore_compact(
@@ -502,24 +349,14 @@ def explore_compact(
     ``<= 1`` runs serially); specs the packed codec cannot represent
     raise :class:`CompactUnsupported` before any exploration happens.
     """
-    if workers == 1 and (worker_timeout is not None
-                         or fault_hook is not None):
-        raise ValueError(
-            "workers=1 runs the serial engine, which would silently "
-            "ignore worker_timeout/fault_hook; drop those options or "
-            "use workers >= 2 (workers=0 auto-sizes)")
-    if workers == 0:
-        workers = default_workers()
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
+    workers = _resolve_workers(workers, worker_timeout, fault_hook)
     start = perf_counter()
     graph, frontier = _seed_compact(spec, max_states)
-    return _drive_compact(spec, graph, frontier, depth=0, levels=0,
-                          elapsed_before=0.0, stats=stats,
-                          checkpoint=checkpoint,
-                          checkpoint_every=checkpoint_every,
-                          workers=workers, worker_timeout=worker_timeout,
-                          fault_hook=fault_hook, start=start)
+    return _drive(_CompactKind(spec, graph), frontier, depth=0, levels=0,
+                  elapsed_before=0.0, stats=stats, checkpoint=checkpoint,
+                  checkpoint_every=checkpoint_every, start=start,
+                  expander=_pool_for(workers, worker_timeout, fault_hook,
+                                     stats))
 
 
 # -- checkpoint / resume -----------------------------------------------------
@@ -581,9 +418,9 @@ def save_compact_checkpoint(
 
 class CompactResume:
     """A compact checkpoint reloaded into live run state: the rebuilt
-    graph plus the loop counters :func:`_drive_compact` needs.  Shared by
-    :func:`resume_compact` and the distributed coordinator's crash-resume
-    (which re-drives the same state through its own merge loop)."""
+    graph plus the loop counters :func:`repro.checker.explorer._drive`
+    needs.  Shared by :func:`resume_compact` and the distributed
+    coordinator's crash-resume."""
 
     __slots__ = ("spec", "graph", "frontier", "depth", "levels",
                  "elapsed_seconds", "workers", "checkpoint_every", "payload")
@@ -727,16 +564,15 @@ def resume_compact(
     target = path if checkpoint is _SAME_PATH else checkpoint
     every = loaded.checkpoint_every if checkpoint_every is None \
         else checkpoint_every
-    worker_count = loaded.workers if workers is None else workers
-    if worker_count == 0:
-        worker_count = default_workers()
-    return _drive_compact(loaded.spec, loaded.graph, loaded.frontier,
-                          depth=loaded.depth, levels=loaded.levels,
-                          elapsed_before=loaded.elapsed_seconds, stats=stats,
-                          checkpoint=target, checkpoint_every=every,
-                          workers=worker_count,
-                          worker_timeout=worker_timeout,
-                          fault_hook=fault_hook)
+    worker_count = _resolve_workers(
+        loaded.workers if workers is None else workers, worker_timeout,
+        fault_hook)
+    return _drive(_CompactKind(loaded.spec, loaded.graph), loaded.frontier,
+                  depth=loaded.depth, levels=loaded.levels,
+                  elapsed_before=loaded.elapsed_seconds, stats=stats,
+                  checkpoint=target, checkpoint_every=every,
+                  expander=_pool_for(worker_count, worker_timeout,
+                                     fault_hook, stats))
 
 
 # -- invariant checking ------------------------------------------------------

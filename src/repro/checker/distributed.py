@@ -47,6 +47,14 @@ In full-state mode workers are stateless expanders over portable state
 rows and the coordinator dedups locally through its
 :class:`~repro.checker.graph.StateGraph` -- phase 2 and 4 vanish.
 
+The level loop itself is the one BFS driver,
+:func:`repro.checker.explorer._drive`; this module only plugs into it.
+In compact mode :class:`_CompactNodes` runs phases 1 and 2 as the
+expander's level, the driver's merge is phase 3, and the end-of-level
+hook runs phase 4 and records the level's partition row.  In full mode
+:class:`_FullNodes` runs phase 1 and the full engine's own merge
+(:meth:`~repro.checker.graph.StateGraph.merge_batch`) is phase 3.
+
 Failure model
 -------------
 
@@ -91,24 +99,19 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..kernel import packed
-from ..kernel.packed import PackedPlan
 from ..kernel.state import State
 from ..spec import Spec
 from ..service.wire import NetFaultPlan, ProtocolError, WorkerLink
-from .checkpoint import (
-    _SAME_PATH,
-    _read_checkpoint_payload,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .checkpoint import _SAME_PATH, _read_checkpoint_payload, load_checkpoint
 from .compact import (
     COMPACT_CHECKPOINT_MODE,
     CompactGraph,
-    _finish_compact,
+    _CompactKind,
+    _seed_compact,
     load_compact_checkpoint,
     save_compact_checkpoint,
 )
-from .explorer import _seed_graph, initial_states
+from .explorer import _FullKind, _Inline, _drive, _seed_graph
 from .graph import StateGraph
 from .parallel import WorkerFailure
 from .stats import ExploreStats
@@ -258,10 +261,6 @@ class _Coordinator:
         if stats is not None:
             for node in self.nodes:
                 stats.record_node_label(node.index, node.url)
-        # engine-specific fingerprint of a wire payload
-        if engine == "compact":
-            self._plan = PackedPlan(spec)
-            self._codec = self._plan.codec
 
     def start(self) -> None:
         if self._heartbeat is not None:
@@ -505,13 +504,14 @@ class _Coordinator:
                       lambda node: self._on_loss(node, packed_column,
                                                  fingerprint))
 
-    def lookup_level(self, values_by_range: Dict[int, List[int]],
-                     known: Dict[int, int],
+    def _range_phase(self, by_range: Dict[int, List[object]],
+                     send: Callable[[_Node, List[object]], None],
                      packed_column: List[int],
                      fingerprint: Callable[[int], int]) -> None:
-        """Phase 2 (compact): ask each owner which of the level's unique
-        successor values its partition has already seen."""
-        pending = dict(values_by_range)
+        """One per-range wire phase: ``send(node, items)`` with the
+        items of the ranges each node owns, re-grouping after a loss
+        until every range has been answered."""
+        pending = dict(by_range)
 
         def groups() -> Dict[int, List[int]]:
             grouped: Dict[int, List[int]] = {}
@@ -524,16 +524,10 @@ class _Coordinator:
                 todo = [r for r in ridxs if r in pending]
                 if not todo:
                     return
-                values: List[int] = []
+                items: List[object] = []
                 for r in todo:
-                    values.extend(pending[r])
-                response = node.link.post("/lookup", {"values": values})
-                nodes = response.get("nodes") or []
-                if len(nodes) != len(values):
-                    raise ConnectionError("lookup response misaligned")
-                for value, node_id in zip(values, nodes):
-                    if node_id >= 0:
-                        known[value] = node_id
+                    items.extend(pending[r])
+                send(node, items)
                 for r in todo:
                     pending.pop(r, None)
 
@@ -542,6 +536,23 @@ class _Coordinator:
         self._fan_out(groups, op,
                       lambda node: self._on_loss(node, packed_column,
                                                  fingerprint))
+
+    def lookup_level(self, values_by_range: Dict[int, List[int]],
+                     known: Dict[int, int],
+                     packed_column: List[int],
+                     fingerprint: Callable[[int], int]) -> None:
+        """Phase 2 (compact): ask each owner which of the level's unique
+        successor values its partition has already seen."""
+        def send(node: _Node, values: List[int]) -> None:
+            response = node.link.post("/lookup", {"values": values})
+            nodes = response.get("nodes") or []
+            if len(nodes) != len(values):
+                raise ConnectionError("lookup response misaligned")
+            for value, node_id in zip(values, nodes):
+                if node_id >= 0:
+                    known[value] = node_id
+
+        self._range_phase(values_by_range, send, packed_column, fingerprint)
 
     def adopt_level(self, entries_by_range: Dict[int, List[List[int]]],
                     packed_column: List[int],
@@ -549,32 +560,11 @@ class _Coordinator:
         """Phase 4 (compact): push the level's newly interned states to
         the owners of their fingerprints.  Idempotent on the worker, so
         retries and duplicates are harmless."""
-        pending = dict(entries_by_range)
+        def send(node: _Node, entries: List[List[int]]) -> None:
+            self._record_adopt(
+                node, node.link.post("/adopt", {"entries": entries}))
 
-        def groups() -> Dict[int, List[int]]:
-            grouped: Dict[int, List[int]] = {}
-            for ridx in pending:
-                grouped.setdefault(self.owner[ridx], []).append(ridx)
-            return grouped
-
-        def op(node: _Node, ridxs: List[int]) -> None:
-            def attempt() -> None:
-                todo = [r for r in ridxs if r in pending]
-                if not todo:
-                    return
-                entries: List[List[int]] = []
-                for r in todo:
-                    entries.extend(pending[r])
-                self._record_adopt(
-                    node, node.link.post("/adopt", {"entries": entries}))
-                for r in todo:
-                    pending.pop(r, None)
-
-            self._with_retries(node, attempt)
-
-        self._fan_out(groups, op,
-                      lambda node: self._on_loss(node, packed_column,
-                                                 fingerprint))
+        self._range_phase(entries_by_range, send, packed_column, fingerprint)
 
     # -- run summary ----------------------------------------------------------
 
@@ -591,209 +581,175 @@ class _Coordinator:
         }}
 
 
-# -- compact-mode drive -------------------------------------------------------
+# -- expanders over worker nodes ----------------------------------------------
 
 
-def _drive_distributed_compact(
-    coord: _Coordinator,
-    graph: CompactGraph,
-    frontier: List[int],
-    depth: int,
-    levels: int,
-    elapsed_before: float,
-    stats: Optional[ExploreStats],
-    checkpoint: Optional[str],
-    checkpoint_every: int,
-    seed_adopt: bool,
-    fp_of: Dict[int, int],
-) -> CompactGraph:
-    """The compact distributed level loop.  Mirrors
-    :func:`repro.checker.compact._drive_compact` exactly at every point
-    that feeds the graph -- intern order, edge dedup, digest stream,
-    budget check, ``record_level`` placement -- so the resulting graph
-    is bit-for-bit the single-machine compact graph.
+class _Nodes(_Inline):
+    """Common base of the worker-node expanders: every level is shipped
+    (``expand`` runs on the nodes, never inline), checkpoints carry the
+    coordinator's ``"distributed"`` section, and the finished graph
+    carries the pristine ranges and the per-level partition counts."""
 
-    *fp_of* maps every packed value in the coordinator's column (and,
-    as levels proceed, every successor value the workers report) to its
-    fingerprint.  The callers seed it for the starting column; from
-    then on the workers compute every new fingerprint (the per-state
-    hot spot) and the coordinator only looks them up -- which is why
-    adding worker nodes actually speeds the run up."""
-    start = perf_counter()
-    spec = coord.spec
-    packed_column = graph.packed
-    ranges = coord.ranges
-    fingerprint = fp_of.__getitem__
+    def __init__(self, coord: _Coordinator, levels: int):
+        self.coord = coord
+        self.workers = len(coord.nodes)
+        self._level = levels  # the level number /expand requests carry
 
-    def partition_counts(new_packed: List[int]) -> List[int]:
+    def _next_level(self) -> int:
+        level = self._level
+        self._level += 1
+        return level
+
+    def section(self) -> Dict[str, object]:
+        return self.coord.distributed_section()
+
+    def report(self, graph, stats: Optional[ExploreStats]) -> None:
+        coord = self.coord
+        if stats is not None:
+            stats.record_parallel(len(coord.nodes), coord.idle)
+        graph.partition_ranges = list(coord.ranges)
+        graph.level_partitions = [list(row) for row in coord.level_partitions]
+
+
+class _FullNodes(_Nodes):
+    """Full-state expander: the nodes are stateless expanders over
+    portable state rows, shipped to the owner of each source's
+    fingerprint; the coordinator dedups through its own
+    :class:`~repro.checker.graph.StateGraph` (``merge_batch``)."""
+
+    def __init__(self, coord: _Coordinator, graph: StateGraph, levels: int):
+        super().__init__(coord, levels)
+        self._states = graph.states
+
+    def level(self, kind, frontier: List[int]):
+        states = self._states
+        results: Dict[int, List[object]] = {}
+        self.coord.expand_level(
+            self._next_level(),
+            [(pos, states[src].to_portable())
+             for pos, src in enumerate(frontier)],
+            [states[src].fingerprint() for src in frontier],
+            results, None, lambda fp: fp)
+        from_portable = State.from_portable
+        return ((src, [from_portable(row) for row in results[pos]])
+                for pos, src in enumerate(frontier))
+
+    def end_level(self, new_nodes) -> None:
+        """Record the level's partition row: its new states per range."""
+        ranges = self.coord.ranges
         counts = [0] * len(ranges)
-        for value in new_packed:
-            counts[range_index(fp_of[value], ranges)] += 1
-        return counts
+        for node in new_nodes:
+            counts[range_index(self._states[node].fingerprint(), ranges)] += 1
+        self.coord.level_partitions.append(counts)
 
-    if seed_adopt:
-        # ship the seed partition (the initial states interned by the
-        # caller) to its owners, and record it as the level-0 row
-        seed_entries: Dict[int, List[List[int]]] = {}
-        for node_id, packed in enumerate(packed_column):
-            ridx = range_index(fp_of[packed], ranges)
-            seed_entries.setdefault(ridx, []).append([packed, node_id])
-        coord.adopt_level(seed_entries, packed_column, fingerprint)
-        coord.level_partitions.append(partition_counts(list(packed_column)))
 
-    while frontier:
-        level = levels
-        # phase 1: expand, sharded by source fingerprint; the workers
-        # also hand back each successor's fingerprint
-        src_fps = [fp_of[packed_column[src]] for src in frontier]
+class _CompactNodes(_CompactKind, _Nodes):
+    """Compact mode, where the visited set lives on the nodes.
+
+    It plays both plug-in roles, because its merge consumes what its
+    level collects: :meth:`level` runs phases 1 and 2 (expand, with the
+    nodes computing every successor fingerprint, then ``/lookup`` of the
+    level's unique successors), the driver's merge runs phase 3 through
+    :meth:`CompactGraph._intern_new` against the lookup answers -- the
+    budget check and node-digest stream of the single-machine engine --
+    and :meth:`end_level` runs phase 4 (``/adopt`` of the new states)
+    and records the partition row.
+
+    The coordinator fingerprints its starting column once; from then
+    on the nodes compute every new fingerprint (the per-state hot spot)
+    and the coordinator only looks them up -- which is why adding nodes
+    speeds the run up."""
+
+    def __init__(self, coord: _Coordinator, graph: CompactGraph,
+                 levels: int):
+        _CompactKind.__init__(self, coord.spec, graph)
+        _Nodes.__init__(self, coord, levels)
+        self.merge = self._merge
+        fingerprint = graph.codec.fingerprint
+        self._fp_of = {value: fingerprint(value) for value in graph.packed}
+        self.fingerprint = self._fp_of.__getitem__
+        # the coordinator column is authoritative; the visited map lives
+        # on the nodes
+        graph.visited = {}
+        # value -> node id for this level: the lookup answers, plus the
+        # states the level's merge interns
+        self._node_of: Dict[int, int] = {}
+
+    def level(self, kind, frontier: List[int]):
+        coord = self.coord
+        packed_column = self.rows
+        fp_of = self._fp_of
+        ranges = coord.ranges
         results: Dict[int, List[int]] = {}
         succ_fps: Dict[int, List[int]] = {}
         coord.expand_level(
-            level,
+            self._next_level(),
             [(pos, packed_column[src]) for pos, src in enumerate(frontier)],
-            src_fps, results, packed_column, fingerprint,
-            fps_out=succ_fps)
-        # phase 2: dedup query for the level's unique successor values
-        unique: Dict[int, int] = {}
+            [fp_of[packed_column[src]] for src in frontier],
+            results, packed_column, self.fingerprint, fps_out=succ_fps)
+        # the level's unique successor values, grouped by range
+        values_by_range: Dict[int, List[int]] = {}
+        unique: set = set()
         for pos in range(len(frontier)):
             fps = succ_fps[pos]
             for i, value in enumerate(results[pos]):
                 if value not in unique:
+                    unique.add(value)
                     fp_of[value] = fps[i]
-                    unique[value] = range_index(fps[i], ranges)
-        values_by_range: Dict[int, List[int]] = {}
-        for value, ridx in unique.items():
-            values_by_range.setdefault(ridx, []).append(value)
-        known: Dict[int, int] = {}
-        coord.lookup_level(values_by_range, known, packed_column,
-                           fingerprint)
-        # phase 3: serial merge in frontier order -- the one code path
-        # shared with the single-machine engine (CompactGraph._intern_new
-        # does the budget check and the node-digest stream)
-        level_new: Dict[int, int] = {}
-        new_packed: List[int] = []
-        next_frontier: List[int] = []
-        for pos, src in enumerate(frontier):
-            dsts: List[int] = []
-            seen: set = set()
-            for value in results[pos]:
-                node = known.get(value)
-                if node is None:
-                    node = level_new.get(value)
-                if node is None:
-                    node = graph._intern_new(value, src, fp_of[value])
-                    level_new[value] = node
-                    new_packed.append(value)
-                    next_frontier.append(node)
-                if node != src and node not in seen:
-                    seen.add(node)
-                    dsts.append(node)
-            graph._edge_count += len(dsts)
-            graph._digest.absorb_edges(src, dsts)
-        # phase 4: push the new states to their owners
-        entries_by_range: Dict[int, List[List[int]]] = {}
-        for value, node in level_new.items():
-            ridx = range_index(fp_of[value], ranges)
-            entries_by_range.setdefault(ridx, []).append([value, node])
-        if entries_by_range:
-            coord.adopt_level(entries_by_range, packed_column, fingerprint)
-        coord.level_partitions.append(partition_counts(new_packed))
-        if stats is not None:
-            stats.record_level(len(frontier), graph)
-        frontier = next_frontier
-        levels += 1
-        if frontier:
-            depth += 1
-        if checkpoint is not None and (
-                not frontier or levels % checkpoint_every == 0):
-            save_compact_checkpoint(
-                checkpoint, spec, graph, frontier, depth, levels,
-                elapsed_seconds=elapsed_before + perf_counter() - start,
-                workers=len(coord.nodes), checkpoint_every=checkpoint_every,
-                stats=stats, extra=coord.distributed_section())
-    graph._collisions = coord.partition_collisions()
-    _finish_compact(graph, stats, depth,
-                    elapsed_before + perf_counter() - start)
-    if stats is not None:
-        stats.record_parallel(len(coord.nodes), coord.idle)
-    graph.partition_ranges = list(coord.ranges)
-    graph.level_partitions = [list(row) for row in coord.level_partitions]
-    return graph
+                    values_by_range.setdefault(
+                        range_index(fps[i], ranges), []).append(value)
+        self._node_of = {}
+        coord.lookup_level(values_by_range, self._node_of, packed_column,
+                           self.fingerprint)
+        return ((src, results[pos]) for pos, src in enumerate(frontier))
 
-
-# -- full-mode drive ----------------------------------------------------------
-
-
-def _drive_distributed_full(
-    coord: _Coordinator,
-    graph: StateGraph,
-    frontier: List[int],
-    depth: int,
-    levels: int,
-    elapsed_before: float,
-    stats: Optional[ExploreStats],
-    checkpoint: Optional[str],
-    checkpoint_every: int,
-    record_seed_row: bool,
-) -> StateGraph:
-    """The full-state distributed level loop: workers are stateless
-    expanders over portable rows, the coordinator merges through
-    :meth:`StateGraph.merge_batch` in frontier order -- the exact serial
-    semantics, so the graph matches :func:`explore` bit for bit."""
-    start = perf_counter()
-    spec = coord.spec
-    states = graph.states
-    merge_batch = graph.merge_batch
-    ranges = coord.ranges
-
-    def partition_counts(nodes: List[int]) -> List[int]:
-        counts = [0] * len(ranges)
-        for node in nodes:
-            counts[range_index(states[node].fingerprint(), ranges)] += 1
-        return counts
-
-    if record_seed_row:
-        coord.level_partitions.append(
-            partition_counts(list(range(graph.state_count))))
-
-    while frontier:
-        level = levels
-        src_fps = [states[src].fingerprint() for src in frontier]
-        results: Dict[int, List[object]] = {}
-        coord.expand_level(
-            level,
-            [(pos, states[src].to_portable())
-             for pos, src in enumerate(frontier)],
-            src_fps, results, None, lambda fp: fp)
-        next_frontier: List[int] = []
+    def _merge(self, src: int, values: List[int]) -> List[int]:
+        """:meth:`CompactGraph.merge_successors` with the visited map
+        replaced by the lookup answers plus this level's new states."""
+        graph = self.graph
+        node_of = self._node_of
         new_nodes: List[int] = []
-        for pos, src in enumerate(frontier):
-            successors = [State.from_portable(row) for row in results[pos]]
-            fresh = merge_batch(src, successors)
-            next_frontier.extend(fresh)
-            new_nodes.extend(fresh)
-        coord.level_partitions.append(partition_counts(new_nodes))
-        if stats is not None:
-            stats.record_level(len(frontier), graph)
-        frontier = next_frontier
-        levels += 1
-        if frontier:
-            depth += 1
-        if checkpoint is not None and (
-                not frontier or levels % checkpoint_every == 0):
-            save_checkpoint(
-                checkpoint, spec, graph, frontier, depth, levels,
-                elapsed_seconds=elapsed_before + perf_counter() - start,
-                workers=len(coord.nodes), checkpoint_every=checkpoint_every,
-                stats=stats, store=graph.store.config(),
-                extra=coord.distributed_section())
-    if stats is not None:
-        stats.record_explore(graph, depth,
-                             elapsed_before + perf_counter() - start)
-        stats.record_parallel(len(coord.nodes), coord.idle)
-    graph.partition_ranges = list(coord.ranges)
-    graph.level_partitions = [list(row) for row in coord.level_partitions]
-    return graph
+        dsts: List[int] = []
+        seen: set = set()
+        for value in values:
+            node = node_of.get(value)
+            if node is None:
+                node = graph._intern_new(value, src, self._fp_of[value])
+                node_of[value] = node
+                new_nodes.append(node)
+            if node != src and node not in seen:
+                seen.add(node)
+                dsts.append(node)
+        graph._edge_count += len(dsts)
+        graph._digest.absorb_edges(src, dsts)
+        return new_nodes
+
+    def end_level(self, new_nodes) -> None:
+        """Push the new states to the owners of their fingerprints and
+        record the level's partition row."""
+        coord = self.coord
+        packed_column = self.rows
+        counts = [0] * len(coord.ranges)
+        entries: Dict[int, List[List[int]]] = {}
+        for node in new_nodes:
+            value = packed_column[node]
+            ridx = range_index(self._fp_of[value], coord.ranges)
+            counts[ridx] += 1
+            entries.setdefault(ridx, []).append([value, node])
+        if entries:
+            coord.adopt_level(entries, packed_column, self.fingerprint)
+        coord.level_partitions.append(counts)
+
+    def save(self, path: str, frontier: List[int], depth: int, levels: int,
+             **options) -> None:
+        # this module's binding, so a test can interpose on it
+        save_compact_checkpoint(path, self.spec, self.graph, frontier, depth,
+                                levels, **options)
+
+    def finish(self, depth: int, elapsed: float,
+               stats: Optional[ExploreStats]) -> None:
+        self.graph._collisions = self.coord.partition_collisions()
+        _CompactKind.finish(self, depth, elapsed, stats)
 
 
 # -- public API ---------------------------------------------------------------
@@ -848,33 +804,19 @@ def explore_distributed(
         coord.start()
         coord.load_workers()
         if resolved == "compact":
-            graph = CompactGraph(spec, coord._plan, max_states=max_states)
-            encode = coord._codec.encode
-            fp = coord._codec.fingerprint
-            seen: Dict[int, int] = {}
-            frontier: List[int] = []
-            fp_of: Dict[int, int] = {}  # seeded here; workers fill the rest
-            for state in initial_states(spec.init, spec.universe):
-                value = encode(state)
-                if value in seen:
-                    continue
-                fpv = fp(value)
-                node = graph._intern_new(value, -1, fpv)
-                seen[value] = node
-                fp_of[value] = fpv
-                frontier.append(node)
             if stats is not None:
                 stats.engine = "compact"
-            return _drive_distributed_compact(
-                coord, graph, frontier, depth=0, levels=0,
-                elapsed_before=0.0, stats=stats, checkpoint=checkpoint,
-                checkpoint_every=checkpoint_every, seed_adopt=True,
-                fp_of=fp_of)
-        graph, frontier = _seed_graph(spec, max_states)
-        return _drive_distributed_full(
-            coord, graph, frontier, depth=0, levels=0, elapsed_before=0.0,
-            stats=stats, checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every, record_seed_row=True)
+            graph, frontier = _seed_compact(spec, max_states)
+            kind = nodes = _CompactNodes(coord, graph, 0)
+        else:
+            graph, frontier = _seed_graph(spec, max_states)
+            kind, nodes = _FullKind(spec, graph), _FullNodes(coord, graph, 0)
+        # the seed is the level-0 partition row (and, in compact mode, is
+        # shipped to its owners)
+        nodes.end_level(frontier)
+        return _drive(kind, frontier, depth=0, levels=0, elapsed_before=0.0,
+                      stats=stats, checkpoint=checkpoint,
+                      checkpoint_every=checkpoint_every, expander=nodes)
     finally:
         coord.close()
 
@@ -913,54 +855,39 @@ def resume_distributed(
                          for row in section.get("level_partitions", [])]
     target = path if checkpoint is _SAME_PATH else checkpoint
 
-    if payload.get("mode") == COMPACT_CHECKPOINT_MODE:
+    compact = payload.get("mode") == COMPACT_CHECKPOINT_MODE
+    if compact:
         loaded = load_compact_checkpoint(path, spec, max_states=max_states,
                                          stats=stats)
-        every = loaded.checkpoint_every if checkpoint_every is None \
-            else checkpoint_every
-        coord = _Coordinator(loaded.spec, list(workers), "compact", stats,
-                             heartbeat, worker_timeout, net_fault,
-                             fault_hook, ranges=stored_ranges)
-        coord.level_partitions = stored_partitions
-        # fingerprint the snapshot column once; everything discovered
-        # after this point is fingerprinted by the workers
-        fp = coord._codec.fingerprint
-        fp_of = {packed: fp(packed) for packed in loaded.graph.packed}
-        try:
-            coord.start()
-            coord.load_workers(adopt_column=loaded.graph.packed,
-                               fingerprint=fp_of.__getitem__)
-            # the coordinator column is authoritative; the local visited
-            # map now lives on the workers
-            loaded.graph.visited = {}
-            return _drive_distributed_compact(
-                coord, loaded.graph, loaded.frontier, depth=loaded.depth,
-                levels=loaded.levels,
-                elapsed_before=loaded.elapsed_seconds, stats=stats,
-                checkpoint=target, checkpoint_every=every, seed_adopt=False,
-                fp_of=fp_of)
-        finally:
-            coord.close()
-
-    loaded = load_checkpoint(path)
-    run_spec = spec if spec is not None else loaded.load_spec()
+        run_spec = loaded.spec
+    else:
+        loaded = load_checkpoint(path)
+        run_spec = spec if spec is not None else loaded.load_spec()
     every = loaded.checkpoint_every if checkpoint_every is None \
         else checkpoint_every
-    coord = _Coordinator(run_spec, list(workers), "full", stats,
+    coord = _Coordinator(run_spec, list(workers),
+                         "compact" if compact else "full", stats,
                          heartbeat, worker_timeout, net_fault, fault_hook,
                          ranges=stored_ranges)
     coord.level_partitions = stored_partitions
     try:
         coord.start()
-        coord.load_workers()
-        graph = loaded.restore_graph(run_spec, max_states=max_states)
-        if stats is not None and loaded.stats_snapshot:
-            stats.restore(loaded.stats_snapshot)
-        return _drive_distributed_full(
-            coord, graph, list(loaded.frontier), depth=loaded.depth,
-            levels=loaded.levels, elapsed_before=loaded.elapsed_seconds,
-            stats=stats, checkpoint=target, checkpoint_every=every,
-            record_seed_row=False)
+        if compact:
+            kind = nodes = _CompactNodes(coord, loaded.graph, loaded.levels)
+            coord.load_workers(adopt_column=loaded.graph.packed,
+                               fingerprint=nodes.fingerprint)
+        else:
+            coord.load_workers()
+            graph = loaded.restore_graph(run_spec, max_states=max_states)
+            if stats is not None and loaded.stats_snapshot:
+                stats.restore(loaded.stats_snapshot)
+            kind = _FullKind(run_spec, graph)
+            nodes = _FullNodes(coord, graph, loaded.levels)
+        return _drive(kind, list(loaded.frontier), depth=loaded.depth,
+                      levels=loaded.levels,
+                      elapsed_before=loaded.elapsed_seconds, stats=stats,
+                      checkpoint=target, checkpoint_every=every,
+                      expander=nodes)
     finally:
         coord.close()
 

@@ -9,33 +9,38 @@ BFS parent tree (hence the same counterexample traces), and the same
 :class:`~repro.checker.graph.StateSpaceExplosion` behaviour as a serial
 :func:`~repro.checker.explorer.explore` run -- regardless of worker
 count, chunking, scheduling, **or worker failures**.  ``workers=1`` *is*
-the serial explorer (the call delegates), so the serial path remains the
-reference semantics; ``tests/test_parallel_differential.py`` checks the
+the serial explorer, so the serial path remains the reference
+semantics; ``tests/test_parallel_differential.py`` checks the
 equivalence for every bundled system and
 ``tests/test_fault_injection.py`` re-checks it under injected crashes.
 
 How the work is sharded
 -----------------------
 
-Per BFS level the coordinator:
+This module owns no BFS loop.  :class:`_ChunkRunner` is an *expander* for the
+one driver, :func:`repro.checker.explorer._drive`, and serves both
+graph kinds: full states (:func:`explore_parallel`, parallel
+:func:`~repro.checker.checkpoint.resume`) and packed ints
+(:func:`~repro.checker.compact.explore_compact`,
+:func:`~repro.checker.compact.resume_compact`).  Per BFS level it:
 
-1. snapshots the frontier (node ids in serial-BFS order), pairs each
-   frontier state with its :meth:`~repro.kernel.state.State.fingerprint`
-   (an opaque batch key echoed back by workers; fingerprint collisions
-   within a level are disambiguated with the node id, so keys are always
-   unique),
-2. splits the keyed frontier into contiguous chunks -- the chunk size is
-   a pure function of frontier length and worker count, so the sharding
-   itself is deterministic,
-3. submits the chunks to a ``concurrent.futures`` process pool and
+1. cuts the frontier (node ids in serial-BFS order) into contiguous
+   chunks of rows -- the chunk size is a pure function of frontier
+   length and worker count, so the sharding itself is deterministic,
+2. submits the chunks to a ``concurrent.futures`` process pool and
    retrieves results strictly in **submission order**, and
-4. merges each returned ``(src_fingerprint, tag, successors, pruned)``
-   batch in that order -- exactly the order the serial explorer would
-   have used (plain runs go straight through
-   :meth:`~repro.checker.graph.StateGraph.merge_batch`; reduced runs go
-   through :func:`repro.checker.reduction.por.merge_source`, which also
-   applies the C3 cycle proviso on the coordinator, in merge order, so
-   the reduced graph too is identical for every worker count).
+3. pairs each returned expansion with its source **by position** (the
+   k-th expansion of a chunk belongs to the k-th source of that chunk)
+   and hands the pairs to the driver, which merges them in that order
+   -- exactly the order the serial explorer uses.  Reduced runs merge
+   through :func:`repro.checker.reduction.por.merge_source`, which
+   applies the C3 cycle proviso on the coordinator in merge order, so
+   the reduced graph too is identical for every worker count.
+
+Positional pairing needs no key per source, so colliding state
+fingerprints cannot mix up sources.  Levels narrower than
+``workers * _MIN_CHUNK`` are left to the driver's inline loop: shipping
+them would cost more than computing them.
 
 Worker-crash recovery
 ---------------------
@@ -45,8 +50,8 @@ as a broken pool; a worker that exceeds the per-chunk ``worker_timeout``
 surfaces as a timeout.  Either way the coordinator tears the pool down,
 spins up fresh processes, and resubmits every chunk whose result it has
 not merged yet.  This cannot change the explored graph: chunk expansion
-is **pure** (workers only read frontier states and drive a deterministic
-:class:`~repro.kernel.action.SuccessorPlan`; nothing is merged until a
+is **pure** (workers only read frontier rows and drive a deterministic
+plan; nothing is merged until a
 chunk's full result arrives), and the merge order is the chunk
 submission order whatever the retry history -- so a retried run is
 bit-for-bit the run without failures.  Retries are counted on
@@ -54,11 +59,13 @@ bit-for-bit the run without failures.  Retries are counted on
 that keeps failing raises :class:`WorkerFailure` after
 ``_MAX_CHUNK_RETRIES`` attempts.
 
-Workers are started lazily and initialised once: each unpickles the spec
-in its initializer and builds its own
-:class:`~repro.kernel.action.SuccessorPlan` (compiled once, driven for
-every chunk), so the per-chunk payload is only the frontier states and
-the per-chunk result only the successor batches.  Worker-side busy time
+Workers are started lazily and initialised once: each unpickles the
+graph kind's ``(engine, spec, reduction)`` payload in its initializer
+and builds its own expansion function -- a
+:class:`~repro.kernel.action.SuccessorPlan`, the reducer's ample-set
+expansion, or a :class:`~repro.kernel.packed.PackedPlan` -- compiled
+once and driven for every chunk, so the per-chunk payload is only the
+frontier rows and the per-chunk result only their expansions.  Worker-side busy time
 and coordinator idle time are recorded on the optional
 :class:`~repro.checker.stats.ExploreStats`.
 
@@ -82,25 +89,26 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from typing import TYPE_CHECKING
 
 from ..kernel.action import compile_action
+from ..kernel.packed import PackedPlan
 from ..kernel.state import State
 from ..spec import Spec
-from .checkpoint import save_checkpoint
-from .explorer import _finish_reduction, _resolve_reducer, _seed_graph, explore
+from .explorer import _Inline, _explore_full
 from .graph import StateGraph
 from .stats import ExploreStats
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from .reduction.por import AmpleReducer, ReductionConfig
+    from .reduction.por import ReductionConfig
     from .reduction.store import StateStore
 
 __all__ = ["explore_parallel", "default_workers", "WorkerFailure"]
 
-# one payload per chunk: [(batch_key, frontier_state), ...]
-_Chunk = List[Tuple[object, State]]
-# one result per chunk:
-# (worker_pid, busy_seconds, [(batch_key, tag, successors, pruned)]) --
-# tag/pruned are EXPAND_FULL/0 for unreduced runs (see reduction.por)
-_ChunkResult = Tuple[int, float, List[Tuple[object, int, List[State], int]]]
+# one payload per chunk: the frontier rows (States or packed ints) of a
+# contiguous slice of the frontier, in frontier order
+_Chunk = List[object]
+# one result per chunk: (worker_pid, busy_seconds, expansions) with one
+# expansion per chunk row, in chunk order -- results pair with their
+# sources by position
+_ChunkResult = Tuple[int, float, List[object]]
 # optional fault-injection hook, called in the worker once per chunk
 _FaultHook = Optional[Callable[[_Chunk], None]]
 
@@ -123,16 +131,9 @@ class WorkerFailure(Exception):
     """A frontier chunk kept crashing or timing out after all retries."""
 
 
-# frontiers smaller than workers * _MIN_CHUNK are expanded inline by the
-# coordinator (shipping them would cost more than computing them); the
-# narrow first/last BFS levels of most systems take this path
-def _inline_threshold(workers: int) -> int:
-    return workers * _MIN_CHUNK
-
-
 # worker-process globals, set once by _init_worker: a pure
-# state -> (tag, successors, pruned) expansion function
-_worker_expand: Optional[Callable[[State], Tuple[int, List[State], int]]] = None
+# row -> expansion function
+_worker_expand: Optional[Callable[[object], object]] = None
 _worker_fault: _FaultHook = None
 
 
@@ -145,120 +146,148 @@ def default_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _full_expander(
-    spec: Spec,
-) -> Callable[[State], Tuple[int, List[State], int]]:
-    """The unreduced expansion function (tag is always EXPAND_FULL=0)."""
-    plan = compile_action(spec.next_action).plan(spec.universe)
-    successors = plan.successors
+def _resolve_workers(workers: int, worker_timeout: Optional[float] = None,
+                     fault_hook: _FaultHook = None) -> int:
+    """The worker count a run uses, shared by every single-machine entry
+    point: ``0`` auto-sizes to :func:`default_workers`, a negative count
+    is an error, and so is ``1`` together with an option only the
+    multi-process engine honours -- a silent degrade would ignore it.
+    Auto-sizing is exempt, since it never resolves below the core
+    count."""
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    if workers == 1 and (worker_timeout is not None
+                         or fault_hook is not None):
+        raise ValueError(
+            "workers=1 runs the serial engine, which would silently "
+            "ignore worker_timeout/fault_hook; drop those options or "
+            "use workers >= 2 (workers=0 auto-sizes)")
+    return default_workers() if workers == 0 else workers
 
-    def expand(state: State) -> Tuple[int, List[State], int]:
-        return 0, list(successors(state)), 0
 
-    return expand
+def _init_worker(payload: bytes, fault_hook: _FaultHook = None) -> None:
+    """Pool initializer: unpickle a graph kind's ``(engine, spec,
+    reduction config)`` and build its expansion function once; every
+    chunk this worker processes reuses it.
 
-
-def _init_worker(spec_payload: bytes, fault_hook: _FaultHook = None) -> None:
-    """Pool initializer: unpickle (spec, reduction config) and build the
-    expansion function once; every chunk this worker processes reuses it.
-
-    With reduction on, the worker derives the *same* reducer the
-    coordinator did (decomposition is a pure function of the spec), so
-    per-state ample decisions are identical on both sides."""
+    The compact engine drives a :class:`~repro.kernel.packed.PackedPlan`;
+    the full engine a :class:`~repro.kernel.action.SuccessorPlan`, or,
+    with reduction on, the *same* reducer the coordinator derived
+    (decomposition is a pure function of the spec), so per-state ample
+    decisions are identical on both sides."""
     global _worker_expand, _worker_fault
-    spec, reduction = pickle.loads(spec_payload)
-    if reduction is not None:
+    engine, spec, reduction = pickle.loads(payload)
+    if engine == "compact":
+        _worker_expand = PackedPlan(spec).successors
+    elif reduction is not None:
         from .reduction.por import build_reducer
 
-        reducer, _reason = build_reducer(spec, reduction)
-        if reducer is not None:
-            _worker_expand = reducer.expand
-        else:  # pragma: no cover - coordinator never ships an unusable config
-            _worker_expand = _full_expander(spec)
+        _worker_expand = build_reducer(spec, reduction)[0].expand
     else:
-        _worker_expand = _full_expander(spec)
+        successors = compile_action(spec.next_action).plan(
+            spec.universe).successors
+
+        def expand(state: State) -> List[State]:
+            return list(successors(state))
+        _worker_expand = expand
     _worker_fault = fault_hook
 
 
 def _expand_chunk(chunk: _Chunk) -> _ChunkResult:
-    """Worker body: enumerate successors for one frontier chunk."""
+    """Worker body: expand every row of one frontier chunk."""
     expand = _worker_expand
     assert expand is not None, "worker used before initialization"
     if _worker_fault is not None:
         _worker_fault(chunk)
     start = perf_counter()
-    batches = []
-    for key, state in chunk:
-        tag, succs, pruned = expand(state)
-        batches.append((key, tag, succs, pruned))
-    return os.getpid(), perf_counter() - start, batches
+    expansions = [expand(row) for row in chunk]
+    return os.getpid(), perf_counter() - start, expansions
 
 
-def _shard_frontier(
-    graph: StateGraph, frontier: List[int], workers: int
-) -> Tuple[List[_Chunk], Dict[object, int]]:
-    """Key the frontier by state fingerprint and cut it into contiguous
-    chunks; returns the chunks and the key -> node id resolution map."""
-    states = graph.states
-    entries: _Chunk = []
-    key_to_node: Dict[object, int] = {}
-    for node in frontier:
-        key: object = states[node].fingerprint()
-        if key in key_to_node:
-            # distinct frontier states with colliding fingerprints: make
-            # the batch key unique (workers only echo it back)
-            key = (key, node)
-        key_to_node[key] = node
-        entries.append((key, states[node]))
-    # ceil-divide into at most workers * _CHUNKS_PER_WORKER chunks of at
-    # least _MIN_CHUNK sources -- a pure function of (len(frontier),
-    # workers), hence deterministic
-    target = workers * _CHUNKS_PER_WORKER
-    chunk_size = max(_MIN_CHUNK, -(-len(entries) // target))
-    chunks = [entries[i:i + chunk_size]
-              for i in range(0, len(entries), chunk_size)]
-    return chunks, key_to_node
-
-
-class _ChunkRunner:
-    """Owns the worker pool and yields chunk results in submission order,
-    retrying on worker death or per-chunk timeout.
+class _ChunkRunner(_Inline):
+    """The process-pool expander: ships each wide level to the worker
+    processes in contiguous chunks, retrieves the results in submission
+    order, and pairs them with their sources by position -- so the
+    driver merges in frontier order whatever the worker count,
+    scheduling or retry history.  Levels narrower than
+    ``workers * _MIN_CHUNK`` return ``None`` and are expanded by the
+    driver itself.
 
     The pool is created lazily (a run whose frontiers all stay below the
     inline threshold never forks a process) and torn down + respawned on
-    any failure; chunks whose results were already merged are never
-    resubmitted, so the merge stream the coordinator sees is exactly the
-    no-failure stream.
+    worker death or per-chunk timeout; chunks whose results were already
+    merged are never resubmitted, so the merge stream the driver sees is
+    exactly the no-failure stream.
     """
 
-    def __init__(self, workers: int, payload: bytes, ctx,
-                 worker_timeout: Optional[float], fault_hook: _FaultHook,
-                 stats: Optional[ExploreStats],
-                 initializer: Callable = _init_worker,
-                 task: Callable = _expand_chunk):
-        self._workers = workers
-        self._payload = payload
-        self._ctx = ctx
+    def __init__(self, workers: int, worker_timeout: Optional[float],
+                 fault_hook: _FaultHook, stats: Optional[ExploreStats]):
+        self.workers = workers
         self._timeout = worker_timeout
         self._fault_hook = fault_hook
         self._stats = stats
-        # the engine seam: the compact explorer reuses the pool/retry
-        # machinery with its own worker initializer and chunk task
-        self._initializer = initializer
-        self._task = task
+        # fork is the cheap path where available (Linux); spawn/forkserver
+        # workers rebuild everything from the pickled payload anyway
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork" if "fork" in methods
+                                               else methods[0])
+        self._payload: Optional[bytes] = None  # set by the first shipment
         self._executor: Optional[ProcessPoolExecutor] = None
+        self._idle = 0.0
+        self._worker_ids: Dict[int, int] = {}  # pid -> dense worker id
+
+    def level(self, kind, frontier: List[int]):
+        # frontiers smaller than workers * _MIN_CHUNK are expanded inline
+        # (shipping them would cost more than computing them); the narrow
+        # first/last BFS levels of most systems take this path
+        if len(frontier) < self.workers * _MIN_CHUNK:
+            return None
+        if self._payload is None:
+            self._payload = pickle.dumps(kind.worker_payload(),
+                                         protocol=pickle.HIGHEST_PROTOCOL)
+        # ceil-divide into at most workers * _CHUNKS_PER_WORKER chunks of
+        # at least _MIN_CHUNK sources -- a pure function of
+        # (len(frontier), workers), hence deterministic
+        size = max(_MIN_CHUNK, -(-len(frontier)
+                                 // (self.workers * _CHUNKS_PER_WORKER)))
+        parts = [frontier[i:i + size] for i in range(0, len(frontier), size)]
+        rows = kind.rows
+        chunks = [[rows[src] for src in part] for part in parts]
+        return self._pairs(kind, parts, self.run_level(chunks))
+
+    def _pairs(self, kind, parts: List[List[int]],
+               results: Iterator[_ChunkResult]):
+        """Stream ``(src, expansion)`` pairs chunk by chunk, so merging a
+        chunk overlaps with the workers expanding the next ones."""
+        stats = self._stats
+        wait_from = perf_counter()
+        for part, (pid, busy, expansions) in zip(parts, results):
+            self._idle += perf_counter() - wait_from
+            if stats is not None:
+                stats.record_worker_batch(
+                    self._worker_ids.setdefault(pid, len(self._worker_ids)),
+                    sources=len(expansions),
+                    successors=sum(map(kind.width, expansions)),
+                    busy_seconds=busy,
+                )
+            yield from zip(part, expansions)
+            wait_from = perf_counter()
+
+    def report(self, graph, stats: Optional[ExploreStats]) -> None:
+        if stats is not None:
+            stats.record_parallel(self.workers, self._idle)
 
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
-                max_workers=self._workers,
+                max_workers=self.workers,
                 mp_context=self._ctx,
-                initializer=self._initializer,
+                initializer=_init_worker,
                 initargs=(self._payload, self._fault_hook),
             )
         return self._executor
 
-    def _teardown(self) -> None:
+    def close(self) -> None:
         """Drop the pool hard: kill worker processes (they may be hung or
         already dead) and abandon the executor."""
         executor = self._executor
@@ -272,16 +301,13 @@ class _ChunkRunner:
                 pass
         executor.shutdown(wait=False)
 
-    def close(self) -> None:
-        self._teardown()
-
     def _wait_budget(self, outstanding: int) -> Optional[float]:
         """How long to wait for the next result: the per-chunk timeout
         scaled by the number of chunks each worker still has to get
         through, so queued-but-healthy chunks are not misdiagnosed."""
         if self._timeout is None:
             return None
-        rounds = -(-outstanding // self._workers)  # ceil division
+        rounds = -(-outstanding // self.workers)  # ceil division
         return self._timeout * max(1, rounds)
 
     def run_level(self, chunks: List[_Chunk]) -> Iterator[_ChunkResult]:
@@ -292,7 +318,7 @@ class _ChunkRunner:
         while index < len(chunks):
             if futures is None:
                 executor = self._ensure()
-                submitted = [executor.submit(self._task, chunk)
+                submitted = [executor.submit(_expand_chunk, chunk)
                              for chunk in chunks[index:]]
                 futures = [None] * index + submitted
             try:
@@ -313,7 +339,7 @@ class _ChunkRunner:
         attempts[index] += 1
         if self._stats is not None:
             self._stats.record_retry(reason)
-        self._teardown()
+        self.close()
         if attempts[index] > _MAX_CHUNK_RETRIES:
             raise WorkerFailure(
                 f"frontier chunk {index} failed {attempts[index]} times "
@@ -323,124 +349,13 @@ class _ChunkRunner:
         return None
 
 
-def _drive_parallel(
-    spec: Spec,
-    graph: StateGraph,
-    frontier: List[int],
-    depth: int,
-    levels: int,
-    elapsed_before: float,
-    stats: Optional[ExploreStats] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_every: int = 1,
-    workers: int = 2,
-    worker_timeout: Optional[float] = None,
-    fault_hook: _FaultHook = None,
-    start: Optional[float] = None,
-    reducer: Optional["AmpleReducer"] = None,
-) -> StateGraph:
-    """The parallel BFS engine, resumable at any level boundary (the
-    multi-process twin of :func:`repro.checker.explorer._drive`).
-
-    With a *reducer*, workers compute per-state ample sets (pure, so any
-    chunking/retry history yields the same batches) and the coordinator
-    applies the C3 cycle proviso at merge time, in submission order,
-    against the live graph -- which makes the reduced graph bit-for-bit
-    identical to the serial reduced run for any worker count."""
-    if start is None:
-        start = perf_counter()
-    # fork is the cheap path where available (Linux); spawn/forkserver
-    # workers rebuild everything from the pickled spec payload anyway
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods
-                                     else methods[0])
-    reduction_config = reducer.config if reducer is not None else None
-    payload = pickle.dumps((spec, reduction_config),
-                           protocol=pickle.HIGHEST_PROTOCOL)
-
-    idle = 0.0
-    worker_ids: Dict[int, int] = {}  # pid -> dense worker id
-    merge_batch = graph.merge_batch
-    states = graph.states
-    # the coordinator's own expander, for frontiers too narrow to ship --
-    # the reducer's expand when reduction is on, else the full plan (the
-    # compile/plan caches make the latter free when it is never needed)
-    if reducer is not None:
-        from .reduction.por import merge_source
-
-        local_expand = reducer.expand
-
-        def merge(src: int, tag: int, succs: List[State],
-                  pruned: int) -> List[int]:
-            return merge_source(graph, src, tag, succs, pruned, reducer)
-    else:
-        local_expand = _full_expander(spec)
-
-        def merge(src: int, tag: int, succs: List[State],
-                  pruned: int) -> List[int]:
-            return merge_batch(src, succs)
-    inline_below = _inline_threshold(workers)
-    runner = _ChunkRunner(workers, payload, ctx, worker_timeout, fault_hook,
-                          stats)
-    try:
-        while frontier:
-            next_frontier: List[int] = []
-            if len(frontier) < inline_below:
-                # narrow level: expanding locally beats IPC round trips;
-                # merge order (frontier order) is the serial order either way
-                for src in frontier:
-                    tag, succs, pruned = local_expand(states[src])
-                    next_frontier.extend(merge(src, tag, succs, pruned))
-            else:
-                chunks, key_to_node = _shard_frontier(graph, frontier,
-                                                      workers)
-                wait_from = perf_counter()
-                # results arrive in submission order; merging in that order
-                # reproduces the serial interning order
-                for pid, busy, batches in runner.run_level(chunks):
-                    idle += perf_counter() - wait_from
-                    if stats is not None:
-                        stats.record_worker_batch(
-                            worker_ids.setdefault(pid, len(worker_ids)),
-                            sources=len(batches),
-                            successors=sum(len(succ)
-                                           for _k, _t, succ, _p in batches),
-                            busy_seconds=busy,
-                        )
-                    for key, tag, successor_states, pruned in batches:
-                        next_frontier.extend(
-                            merge(key_to_node[key], tag, successor_states,
-                                  pruned))
-                    wait_from = perf_counter()
-            if stats is not None:
-                stats.record_level(len(frontier), graph)
-            frontier = next_frontier
-            levels += 1
-            if frontier:
-                depth += 1
-            # cadence snapshots, plus a final one when the frontier drains
-            # (mirrors the serial engine)
-            if checkpoint is not None and (
-                    not frontier or levels % checkpoint_every == 0):
-                save_checkpoint(
-                    checkpoint, spec, graph, frontier, depth, levels,
-                    elapsed_seconds=(elapsed_before
-                                     + perf_counter() - start),
-                    workers=workers, checkpoint_every=checkpoint_every,
-                    stats=stats,
-                    reduction=(reduction_config.as_dict()
-                               if reduction_config is not None else None),
-                    store=graph.store.config(),
-                )
-    finally:
-        runner.close()
-
-    _finish_reduction(graph, reducer, stats)
-    if stats is not None:
-        stats.record_explore(graph, depth,
-                             elapsed_before + perf_counter() - start)
-        stats.record_parallel(workers, idle)
-    return graph
+def _pool_for(workers: int, worker_timeout: Optional[float],
+              fault_hook: _FaultHook,
+              stats: Optional[ExploreStats]) -> Optional[_ChunkRunner]:
+    """The expander for a resolved worker count: a pool from two
+    workers up, else ``None`` (the driver's inline loop)."""
+    return (_ChunkRunner(workers, worker_timeout, fault_hook, stats)
+            if workers > 1 else None)
 
 
 def explore_parallel(
@@ -486,36 +401,8 @@ def explore_parallel(
     silent degrade; ``workers=0`` auto-sizing is exempt because it never
     resolves below the core count.
     """
-    if workers == 1 and (worker_timeout is not None
-                         or fault_hook is not None):
-        raise ValueError(
-            "workers=1 runs the serial engine, which would silently "
-            "ignore worker_timeout/fault_hook; drop those options or "
-            "use workers >= 2 (workers=0 auto-sizes)")
-    if workers == 0:
-        workers = default_workers()
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    if workers <= 1:
-        return explore(spec, max_states=max_states, stats=stats,
-                       checkpoint=checkpoint,
-                       checkpoint_every=checkpoint_every,
-                       reduction=reduction, store=store)
-    start = perf_counter()
-    reducer = _resolve_reducer(spec, reduction, stats)
-    # mirror explore(): a store handed in by the caller is closed on any
-    # error path (explosion, WorkerFailure, interrupt) -- the graph never
-    # reaches the caller then, so nobody else can release the handles
-    try:
-        graph, frontier = _seed_graph(spec, max_states, store=store)
-        return _drive_parallel(spec, graph, frontier, depth=0, levels=0,
-                               elapsed_before=0.0, stats=stats,
-                               checkpoint=checkpoint,
-                               checkpoint_every=checkpoint_every,
-                               workers=workers, worker_timeout=worker_timeout,
-                               fault_hook=fault_hook, start=start,
-                               reducer=reducer)
-    except BaseException:
-        if store is not None:
-            store.close()
-        raise
+    workers = _resolve_workers(workers, worker_timeout, fault_hook)
+    return _explore_full(spec, max_states, stats, checkpoint,
+                         checkpoint_every, reduction, store,
+                         expander=_pool_for(workers, worker_timeout,
+                                            fault_hook, stats))

@@ -10,7 +10,8 @@ make that claim empirical:
   initializer) kills or hangs exactly one chunk, coordinated through a
   marker file shared with the retried process;
 * ``_MIN_CHUNK`` is patched down so the small bundled systems actually
-  ship chunks to workers instead of taking the inline path;
+  ship chunks to workers instead of taking the inline path -- on both
+  engines, since the full and the compact engine share one pool;
 * a chunk that *always* kills its worker must raise
   :class:`WorkerFailure` after the bounded retries rather than loop;
 * a whole-process crash (a subprocess that ``os._exit``\\ s mid-run) is
@@ -36,6 +37,7 @@ from repro.checker import (
     ExploreStats,
     WorkerFailure,
     explore,
+    explore_compact,
     explore_parallel,
     load_checkpoint,
     resume,
@@ -101,40 +103,61 @@ def test_killed_worker_graph_identical_to_serial(case, tmp_path,
     assert_same_graph(graph, reference)
 
 
-def test_killed_worker_is_retried_and_counted(tmp_path, shipped_chunks):
+def _same_compact(graph, reference) -> None:
+    assert graph.parent == reference.parent
+    assert graph.digest() == reference.digest()
+
+
+# (pool engine, its serial reference, graph equality) for the tests that
+# hold both engines' shared process pool to the same recovery contract
+POOL_ENGINES = [
+    pytest.param(explore_parallel, explore, assert_same_graph, id="full"),
+    pytest.param(explore_compact, explore_compact, _same_compact,
+                 id="compact"),
+]
+
+
+@pytest.mark.parametrize("engine, serial, same", POOL_ENGINES)
+def test_killed_worker_is_retried_and_counted(engine, serial, same, tmp_path,
+                                              shipped_chunks):
     from repro.systems.queue import complete_queue
 
-    reference = explore(complete_queue(2))
+    reference = serial(complete_queue(2))
     stats = ExploreStats()
     hook = functools.partial(_kill_once, str(tmp_path / "killed.marker"))
-    graph = explore_parallel(complete_queue(2), workers=2, stats=stats,
-                             fault_hook=hook)
-    assert_same_graph(graph, reference)
+    graph = engine(complete_queue(2), workers=2, stats=stats,
+                   fault_hook=hook)
+    same(graph, reference)
     assert stats.worker_retries.get("crash", 0) >= 1
     assert stats.total_retries >= 1
     # the retry shows up in the human-readable stats line too
     assert "retries" in stats.format()
 
 
-def test_hung_worker_times_out_and_is_retried(tmp_path, shipped_chunks):
+@pytest.mark.parametrize("engine, serial, same", POOL_ENGINES)
+def test_hung_worker_times_out_and_is_retried(engine, serial, same, tmp_path,
+                                              shipped_chunks):
     from repro.systems.queue import complete_queue
 
-    reference = explore(complete_queue(2))
+    reference = serial(complete_queue(2))
     stats = ExploreStats()
     hook = functools.partial(_hang_once, str(tmp_path / "hung.marker"))
-    graph = explore_parallel(complete_queue(2), workers=2, stats=stats,
-                             worker_timeout=0.5, fault_hook=hook)
-    assert_same_graph(graph, reference)
+    graph = engine(complete_queue(2), workers=2, stats=stats,
+                   worker_timeout=0.5, fault_hook=hook)
+    same(graph, reference)
     assert stats.worker_retries.get("timeout", 0) >= 1
 
 
-def test_chunk_that_always_kills_raises_worker_failure(shipped_chunks):
+@pytest.mark.parametrize("engine", [explore_parallel, explore_compact],
+                         ids=["full", "compact"])
+def test_chunk_that_always_kills_raises_worker_failure(engine,
+                                                       shipped_chunks):
     from repro.systems.queue import complete_queue
 
     stats = ExploreStats()
     with pytest.raises(WorkerFailure, match="failed"):
-        explore_parallel(complete_queue(2), workers=2, stats=stats,
-                         fault_hook=_kill_always)
+        engine(complete_queue(2), workers=2, stats=stats,
+               fault_hook=_kill_always)
     # every attempt beyond the first was counted before giving up
     assert stats.worker_retries.get("crash", 0) > \
         parallel_module._MAX_CHUNK_RETRIES

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro.checker.parallel as parallel_module
 from repro.checker import (
     ExploreStats,
     build_store,
     explore,
     explore_compact,
+    explore_parallel,
 )
 from repro.kernel import state as state_mod
 from repro.kernel.packed import PackedCodec
@@ -60,6 +62,26 @@ class TestMemoryStoreCollisions:
                 in stats.summary())
         assert (stats.as_dict()["fingerprint_collisions"]
                 == graph.state_count - 1)
+
+
+class TestParallelCollisions:
+    def test_positional_pairing_survives_constant_fingerprints(
+            self, spec, monkeypatch):
+        """The pool pairs worker results with their sources by position,
+        not by fingerprint, so a frontier whose states all share one
+        fingerprint still merges into the serial graph."""
+        monkeypatch.setattr(state_mod.State, "fingerprint",
+                            constant_fingerprint)
+        monkeypatch.setattr(parallel_module, "_MIN_CHUNK", 1)
+        reference = explore(spec)
+        stats = ExploreStats()
+        graph = explore_parallel(spec, workers=2, stats=stats)
+        assert graph.states == reference.states
+        assert graph.succ == reference.succ
+        assert graph.parent == reference.parent
+        # chunks really were shipped, and the collisions were counted
+        assert stats.worker_stats
+        assert stats.fingerprint_collisions == graph.state_count - 1
 
 
 class TestSpillStoreCollisions:

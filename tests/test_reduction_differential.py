@@ -40,8 +40,10 @@ from repro.checker import (
     check_invariant_reduced,
     decompose,
     explore,
+    explore_compact,
     explore_parallel,
     resume,
+    resume_compact,
 )
 from repro.kernel.expr import Cmp, Const, Len, Var
 from repro.spec import Spec
@@ -317,12 +319,25 @@ def test_spill_reduced_run_survives_worker_kill(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_explicit_serial_with_parallel_only_options_rejected():
+def test_explicit_serial_with_parallel_only_options_rejected(tmp_path):
     spec = complete_queue(2)
-    with pytest.raises(ValueError, match="serial"):
-        explore_parallel(spec, workers=1, worker_timeout=5.0)
-    with pytest.raises(ValueError, match="serial"):
-        explore_parallel(spec, workers=1, fault_hook=_kill_once)
+    full_ckpt = str(tmp_path / "full.ckpt")
+    compact_ckpt = str(tmp_path / "compact.ckpt")
+    explore(spec, checkpoint=full_ckpt)
+    explore_compact(spec, checkpoint=compact_ckpt)
+    runs = [
+        functools.partial(explore_parallel, spec),
+        functools.partial(explore_compact, spec),
+        functools.partial(resume, full_ckpt, spec),
+        functools.partial(resume_compact, compact_ckpt, spec),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="serial"):
+            run(workers=1, worker_timeout=5.0)
+        with pytest.raises(ValueError, match="serial"):
+            run(workers=1, fault_hook=_kill_once)
+        with pytest.raises(ValueError, match=">= 0"):
+            run(workers=-1)
 
 
 def test_autosized_workers_keep_parallel_options():
