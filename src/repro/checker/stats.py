@@ -116,6 +116,13 @@ class ExploreStats:
 
     # -- population ----------------------------------------------------------
 
+    def reset(self) -> None:
+        """Forget every recorded number but keep the level listeners, so
+        a re-exploration reports only itself and can still be cancelled."""
+        listeners = self._level_listeners
+        self.__init__()
+        self._level_listeners = listeners
+
     def record_graph(self, graph: "StateGraph") -> None:
         """Copy the size metrics of an explored graph."""
         self.states = graph.state_count

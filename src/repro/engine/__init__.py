@@ -1,14 +1,13 @@
-"""Checking engines behind one protocol.
+"""Checking engines and the one plan that picks between them.
 
 The paper's finite-domain obligations can be decided more than one
 way, and mature TLA+ tooling ships several engines over one spec
 language (explicit TLC, symbolic Apalache).  This package is that
 split for our checker:
 
-* :class:`~repro.engine.explicit.ExplicitEngine` -- exhaustive BFS in
-  any of the existing modes (serial / parallel / compact /
-  distributed).  Definitive verdicts; cost grows with the reachable
-  state count.
+* the explicit engine -- exhaustive BFS through :mod:`repro.checker`
+  (serial / parallel / compact).  Definitive verdicts; cost grows with
+  the reachable state count.
 * :class:`~repro.engine.symbolic.SymbolicEngine` -- bounded model
   checking over a CNF translation solved by a small built-in CDCL
   solver (or ``z3`` when installed).  Cost grows with the unrolling
@@ -16,28 +15,26 @@ split for our checker:
   blow the BFS budget -- but a clean run up to depth *k* is
   :data:`~repro.engine.result.UNKNOWN`, never HOLDS.
 
-An engine is anything with a ``name`` and the two checking methods of
-:class:`Engine`; :func:`create_engine` instantiates one by registry
-name, which is how the CLI's ``--engine`` flag and the service's
-``engine`` request field resolve.
+:class:`~repro.engine.plan.CheckPlan` is the validated description of
+one check, built by ``repro check``/``repro explore`` and by the
+service alike; :func:`~repro.engine.plan.run_plan` is the only code
+that picks the engine and mode for it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
-
-from ..kernel.expr import Expr
 from .cnf import SymbolicUnsupported, Translation
-from .explicit import ExplicitEngine
 from .result import HOLDS, UNKNOWN, VIOLATION, EngineResult
 from .sat import BackendUnavailable, CdclBackend, Z3Backend, get_backend
 from .stats import SolveStats
 from .symbolic import DEFAULT_DEPTH, SymbolicEngine
+from .plan import CheckPlan, PlanRun, run_plan
 
 __all__ = [
-    "Engine",
+    "CheckPlan",
+    "PlanRun",
+    "run_plan",
     "EngineResult",
-    "ExplicitEngine",
     "SymbolicEngine",
     "SolveStats",
     "SymbolicUnsupported",
@@ -50,62 +47,5 @@ __all__ = [
     "VIOLATION",
     "UNKNOWN",
     "DEFAULT_DEPTH",
-    "available_engines",
-    "create_engine",
-    "register_engine",
 ]
 
-
-class Engine:
-    """The duck-typed engine protocol (also usable as a base class).
-
-    ``check_invariant(spec, invariant, name=None)`` answers one
-    invariant obligation with an :class:`EngineResult`;
-    ``check_obligations(spec, obligations)`` answers a batch of
-    ``(name, invariant)`` pairs, sharing whatever work the engine can
-    share (one exploration, one translation).
-    """
-
-    name = "abstract"
-
-    def check_invariant(self, spec, invariant: Expr,
-                        name: Optional[str] = None) -> EngineResult:
-        raise NotImplementedError
-
-    def check_obligations(
-        self, spec, obligations: Iterable[Tuple[str, Expr]],
-    ) -> List[EngineResult]:
-        return [self.check_invariant(spec, expr, name=obligation_name)
-                for obligation_name, expr in obligations]
-
-
-_REGISTRY: Dict[str, Callable[..., object]] = {}
-
-
-def register_engine(name: str, factory: Callable[..., object]) -> None:
-    """Register an engine factory under *name* (keyword options are
-    passed through by :func:`create_engine`)."""
-    _REGISTRY[name] = factory
-
-
-def available_engines() -> Tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-def create_engine(name: str, **options) -> object:
-    """Instantiate a registered engine by name.
-
-    ``create_engine("explicit", mode="compact", workers=4)``,
-    ``create_engine("symbolic", depth=12)``.
-    """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {name!r}; "
-            f"available: {', '.join(available_engines())}") from None
-    return factory(**options)
-
-
-register_engine("explicit", ExplicitEngine)
-register_engine("symbolic", SymbolicEngine)

@@ -21,7 +21,7 @@ proves nothing about deeper states.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional
 
 from ..checker.results import Counterexample
 from ..kernel.behavior import FiniteBehavior
@@ -37,8 +37,7 @@ DEFAULT_DEPTH = 10
 
 
 class SymbolicEngine:
-    """Bounded model checking behind the :class:`~repro.engine.Engine`
-    protocol.
+    """Bounded model checking of invariant obligations.
 
     ``depth`` is the unrolling bound; ``backend`` names the SAT backend
     ('cdcl' -- the stdlib default -- or 'z3' when that optional package
@@ -114,13 +113,6 @@ class SymbolicEngine:
         return EngineResult(label, VIOLATION, self.name,
                             counterexample=cex, stats=stats,
                             depth=best_depth)
-
-    def check_obligations(
-        self, spec, obligations: Iterable[Tuple[str, Expr]],
-    ) -> List[EngineResult]:
-        """Check each named invariant obligation independently."""
-        return [self.check_invariant(spec, expr, name=obligation_name)
-                for obligation_name, expr in obligations]
 
 
 def _strip_stutter(frames: List) -> List:

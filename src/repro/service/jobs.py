@@ -57,25 +57,10 @@ import re
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..checker import (
-    CompactGraph,
-    ExploreStats,
-    ReductionConfig,
-    check_invariant,
-    check_invariant_compact,
-    check_temporal_implication,
-    digest_of_graph,
-    explore_compact,
-    explore_parallel,
-    premises_of_spec,
-    resume_compact,
-)
-from ..checker.checkpoint import counterexample_to_portable, resume
-from ..checker.graph import StateGraph, StateSpaceExplosion
-from ..checker.results import CheckResult
-from ..kernel import packed
+from ..checker import ExploreStats, digest_of_graph
+from ..checker.checkpoint import counterexample_to_portable
 from ..parser import load_module
 from .cache import ShardedResultCache, canonical_fingerprint
 from .journal import JobJournal, owner_alive
@@ -88,6 +73,9 @@ from .scheduler import (
     TenantThrottled,
     valid_tenant,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from ..engine.plan import CheckPlan
 
 __all__ = [
     "CheckRequest",
@@ -145,13 +133,16 @@ class CheckRequest:
     """One check submission: a module plus what to verify and how.
 
     ``module_source``/``spec``/``invariants``/``properties``/
-    ``max_states``/``por``/``compact``/``engine``/``depth`` are
-    *semantic* -- they address the result in the cache.  ``workers``,
-    ``checkpoint_every``, and ``level_delay``
-    are execution-only: the engine produces the identical graph and
-    verdict for any value (``level_delay`` merely sleeps between BFS
-    levels -- a pacing knob so demos and tests can watch or interrupt
-    toy modules that would otherwise finish in microseconds).
+    ``max_states``/``por``/``engine``/``depth`` are *semantic* -- they
+    address the result in the cache.  ``compact``, ``workers``,
+    ``checkpoint_every``, and ``level_delay`` are execution-only: the
+    engine produces the identical graph and verdict for any value
+    (``level_delay`` merely sleeps between BFS levels -- a pacing knob
+    so demos and tests can watch or interrupt toy modules that would
+    otherwise finish in microseconds).  Which combinations are valid,
+    and which fall back with a note, is the
+    :class:`~repro.engine.plan.CheckPlan` rule shared with ``repro
+    check``.
 
     ``engine`` selects the checking engine: ``"explicit"`` (default)
     explores exhaustively; ``"symbolic"`` bounded-model-checks to
@@ -224,31 +215,11 @@ class CheckRequest:
         compact = payload.get("compact", False)
         if not isinstance(compact, bool):
             raise ValueError("compact must be a boolean")
-        if compact and por:
-            raise ValueError("compact and por are mutually exclusive: the "
-                             "compact engine has no reduction machinery")
-        engine = payload.get("engine", "explicit")
-        if engine not in ("explicit", "symbolic"):
-            raise ValueError("engine must be 'explicit' or 'symbolic'")
         depth = payload.get("depth")
         if depth is not None and (not isinstance(depth, int)
                                   or isinstance(depth, bool) or depth < 1):
             raise ValueError("depth must be an integer >= 1")
-        if depth is not None and engine != "symbolic":
-            raise ValueError("depth is the symbolic unrolling bound; it "
-                             "requires engine='symbolic'")
-        if engine == "symbolic":
-            for flag, active in (("por", por), ("compact", compact),
-                                 ("properties", bool(names("properties")))):
-                if active:
-                    raise ValueError(
-                        f"engine='symbolic' is incompatible with {flag}: "
-                        f"bounded model checking never builds the state "
-                        f"graph that option configures")
-            if not names("invariants"):
-                raise ValueError("engine='symbolic' needs at least one "
-                                 "invariant to bound-check")
-        return cls(
+        request = cls(
             module_source=module_source,
             spec=spec,
             invariants=names("invariants"),
@@ -259,9 +230,11 @@ class CheckRequest:
             workers=bounded_int("workers", 1, 0),
             checkpoint_every=bounded_int("checkpoint_every", 1, 1),
             level_delay=float(level_delay),
-            engine=engine,
+            engine=payload.get("engine", "explicit"),
             depth=depth,
         )
+        request.plan().validate()
+        return request
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -294,7 +267,6 @@ class CheckRequest:
             "properties": list(self.properties),
             "max_states": self.max_states,
             "por": self.por,
-            "compact": self.compact,
             "engine": self.engine,
         }
         if self.engine == "symbolic":
@@ -307,6 +279,25 @@ class CheckRequest:
     def fingerprint(self) -> str:
         return canonical_fingerprint(self.module_source, self.spec,
                                      self.semantic_config())
+
+    def plan(self, checkpoint: Optional[str] = None,
+             resume: bool = False) -> "CheckPlan":
+        """The :class:`CheckPlan` this request describes, checkpointing
+        to *checkpoint* (and continuing it when *resume*).  A symbolic
+        request builds no graph, so its plan names no checkpoint."""
+        # the engine package loads on first use: importing it with the
+        # service would add ~20 ms to every server boot
+        from ..engine.plan import CheckPlan
+
+        symbolic = self.engine == "symbolic"
+        return CheckPlan(
+            invariants=self.invariants, properties=self.properties,
+            engine=self.engine, depth=self.depth,
+            max_states=self.max_states, workers=self.workers,
+            compact=self.compact, por=self.por,
+            checkpoint=None if symbolic else checkpoint,
+            checkpoint_every=self.checkpoint_every,
+            resume=resume and not symbolic)
 
 
 def graph_digest(graph) -> str:
@@ -323,114 +314,17 @@ def graph_digest(graph) -> str:
     return digest_of_graph(graph)
 
 
-def _explore_for(request: CheckRequest, spec, stats: ExploreStats,
-                 checkpoint: Optional[str], resume_from_checkpoint: bool,
-                 reduction: Optional[ReductionConfig],
-                 compact_active: bool, notes: List[str]):
-    """Dispatch one exploration to the engine the request selected.
-
-    A spec the packed codec cannot represent (unbounded values, huge
-    domains) falls back to the full engine with a note -- the verdict,
-    trace, and digest are identical by construction, so the fallback is
-    sound and the job still completes.  The support probe runs *before*
-    touching any checkpoint: the fallback decision is a pure function of
-    the spec, so an interrupted fallen-back job resumes its full-engine
-    checkpoint with the full engine rather than tripping the compact
-    resume's cross-engine guard.
-    """
-    resuming = (resume_from_checkpoint and checkpoint is not None
-                and os.path.exists(checkpoint))
-    if compact_active:
-        problem = packed.support_problem(spec)
-        if problem is not None:
-            compact_active = False
-            notes.append(f"compact engine unavailable for this spec "
-                         f"({problem}); ran the full engine")
-    if compact_active:
-        if resuming:
-            return resume_compact(
-                checkpoint, spec, workers=request.workers,
-                max_states=request.max_states, stats=stats,
-                checkpoint_every=request.checkpoint_every)
-        return explore_compact(
-            spec, max_states=request.max_states,
-            workers=request.workers, stats=stats,
-            checkpoint=checkpoint,
-            checkpoint_every=request.checkpoint_every)
-    if resuming:
-        return resume(checkpoint, spec, workers=request.workers,
-                      max_states=request.max_states, stats=stats,
-                      checkpoint_every=request.checkpoint_every)
-    return explore_parallel(
-        spec, max_states=request.max_states, workers=request.workers,
-        stats=stats, checkpoint=checkpoint,
-        checkpoint_every=request.checkpoint_every,
-        reduction=reduction)
-
-
-def _symbolic_result(request: CheckRequest, spec, label: str,
-                     inv_exprs, notes: List[str]) -> Optional[Dict[str, object]]:
-    """Run a symbolic request to a result document, or ``None`` when the
-    spec cannot be translated (the caller falls back to the explicit
-    engine -- the note explaining why is already appended).
-
-    The document's verdict is ``"violation"`` when any invariant has a
-    counterexample within the bound, else ``"unknown"`` -- never
-    ``"ok"``, because a bounded pass proves nothing about deeper states.
-    There are no BFS levels, so symbolic jobs emit no ``level`` events
-    and run to completion once started (cancellation takes effect only
-    while queued).
-    """
-    from ..engine import (
-        DEFAULT_DEPTH,
-        VIOLATION,
-        SolveStats,
-        SymbolicEngine,
-        SymbolicUnsupported,
-    )
-
-    depth = request.depth if request.depth is not None else DEFAULT_DEPTH
-    engine = SymbolicEngine(depth=depth)
-    stats = SolveStats()
-    checks: List[Dict[str, object]] = []
-    no_violation = True
-    try:
-        for name, expr in inv_exprs:
-            res = engine.check_invariant(spec, expr, name=name, stats=stats)
-            checks.append({
-                "kind": "invariant",
-                "name": res.name,
-                "ok": res.ok,  # always False: VIOLATION or UNKNOWN
-                "verdict": res.verdict,
-                "summary": res.summary(),
-                "counterexample": (
-                    counterexample_to_portable(res.counterexample)
-                    if res.counterexample is not None else None),
-            })
-            no_violation = no_violation and res.verdict != VIOLATION
-    except SymbolicUnsupported as exc:
-        notes.append(f"symbolic engine unavailable for this spec "
-                     f"({exc}); ran the full explicit engine")
-        return None
-    return {
-        "verdict": "unknown" if no_violation else "violation",
-        "label": label, "checks": checks,
-        "states": None, "edges": None, "stutter": None,
-        "graph_digest": None, "notes": notes, "error": None,
-        "engine": "symbolic", "depth": depth,
-        "stats": stats.as_dict(),
-    }
-
-
-def _check_record(kind: str, res: CheckResult) -> Dict[str, object]:
-    return {
-        "kind": kind,
-        "name": res.name,
-        "ok": res.ok,
-        "summary": res.summary(),
-        "counterexample": (counterexample_to_portable(res.counterexample)
-                           if res.counterexample is not None else None),
-    }
+def _check_record(kind: str, res) -> Dict[str, object]:
+    record: Dict[str, object] = {"kind": kind, "name": res.name,
+                                 "ok": res.ok}
+    verdict = getattr(res, "verdict", None)  # only symbolic results
+    if verdict is not None:
+        record["verdict"] = verdict
+    record["summary"] = res.summary()
+    record["counterexample"] = (
+        counterexample_to_portable(res.counterexample)
+        if res.counterexample is not None else None)
+    return record
 
 
 def run_check(
@@ -440,98 +334,55 @@ def run_check(
     resume_from_checkpoint: bool = False,
 ) -> Dict[str, object]:
     """Execute one check request to a result document (the unit the
-    cache stores): explore (fresh, or resumed from *checkpoint* when
-    *resume_from_checkpoint*), run every requested invariant and
-    property, and summarise verdict + per-check counterexamples + stats
-    + graph digest.  This is the service twin of ``repro check``; the
-    POR semantics (auto-disable for properties, full re-exploration for
-    the canonical trace on a reduced violation) match the CLI's.
+    cache stores): run the request's plan through
+    :func:`~repro.engine.plan.run_plan` -- explicit runs checkpoint to
+    *checkpoint* and continue it when *resume_from_checkpoint* and the
+    file exists -- and summarise verdict + per-check counterexamples +
+    stats + graph digest.  This is the service twin of ``repro check``.
+
+    A symbolic document's verdict is ``"violation"`` or ``"unknown"``,
+    never ``"ok"``; it has no BFS levels, so a symbolic job emits no
+    ``level`` events and runs to completion once started.
     """
+    from ..engine.plan import run_plan
+
     module = load_module(request.module_source)
     spec = module.spec(request.spec)
-    label = f"{module.name}!{request.spec}"
     if stats is None:
         stats = ExploreStats()
-    inv_exprs = [(name, module.expr(name)) for name in request.invariants]
-    notes: List[str] = []
-    if request.engine == "symbolic":
-        document = _symbolic_result(request, spec, label, inv_exprs, notes)
-        if document is not None:
-            return document
-        # translation unsupported: fall through to the explicit engine
-        # (the note saying so is already in ``notes``)
-    por_active = request.por
-    if request.por and request.properties:
-        por_active = False
-        notes.append("partial-order reduction disabled: temporal "
-                     "properties need the full graph")
-    compact_active = request.compact
-    if request.compact and request.properties:
-        # mirrors the POR precedent: lasso search walks successor lists
-        # the compact engine does not retain
-        compact_active = False
-        notes.append("compact engine disabled: temporal properties need "
-                     "the full state graph")
-    if compact_active and por_active:
-        por_active = False
-        notes.append("partial-order reduction disabled: the compact "
-                     "engine has no reduction machinery")
-    reduction = None
-    if por_active:
-        observed = sorted({v for _name, expr in inv_exprs
-                           for v in expr.free_vars()})
-        reduction = ReductionConfig(tuple(observed))
-
-    def base(verdict: str) -> Dict[str, object]:
-        return {"verdict": verdict, "label": label, "checks": [],
-                "states": None, "edges": None, "stutter": None,
-                "graph_digest": None, "notes": notes, "error": None,
-                "stats": stats.as_dict()}
-
+    # the service checkpoints every explicit run so a drain can resume
+    # it, including the explicit fallback of a symbolic request
+    resuming = (resume_from_checkpoint and checkpoint is not None
+                and os.path.exists(checkpoint))
+    run = run_plan(
+        request.plan(checkpoint, resume=resuming), spec,
+        [module.expr(name) for name in request.invariants],
+        [module.formula(name) for name in request.properties],
+        stats,
+        fallback_checkpoint=(checkpoint, resuming) if checkpoint else None)
+    symbolic = run.plan.engine == "symbolic"
     try:
-        graph = _explore_for(request, spec, stats, checkpoint,
-                             resume_from_checkpoint, reduction,
-                             compact_active, notes)
-    except StateSpaceExplosion as exc:
-        result = base("explosion")
-        result["error"] = str(exc)
-        result["stats"] = stats.as_dict()
-        return result
-
-    if getattr(graph, "reduction_used", False) and any(
-            not check_invariant(graph, expr, name=name).ok
-            for name, expr in inv_exprs):
-        # as in the CLI: re-explore the full graph so the reported trace
-        # is the canonical POR-off counterexample
-        notes.append("violation found under reduction; re-explored the "
-                     "full graph for the canonical counterexample")
-        graph.store.close()
-        graph = explore_parallel(spec, max_states=request.max_states,
-                                 workers=request.workers, stats=stats)
-    ok = True
-    checks: List[Dict[str, object]] = []
-    run_invariant = (check_invariant_compact
-                     if isinstance(graph, CompactGraph) else check_invariant)
-    for name, expr in inv_exprs:
-        res = run_invariant(graph, expr, name=name, run_stats=stats)
-        checks.append(_check_record("invariant", res))
-        ok = ok and res.ok
-    for name in request.properties:
-        res = check_temporal_implication(
-            graph, module.formula(name), premises=premises_of_spec(spec),
-            name=name, run_stats=stats)
-        checks.append(_check_record("property", res))
-        ok = ok and res.ok
-    result = base("ok" if ok else "violation")
-    result["checks"] = checks
-    result["states"] = graph.state_count
-    result["edges"] = graph.edge_count
-    result["stutter"] = graph.stutter_count
-    result["graph_digest"] = graph_digest(graph)
-    result["stats"] = stats.as_dict()
-    store = getattr(graph, "store", None)  # the compact engine has none
-    if store is not None:
-        store.close()
+        result: Dict[str, object] = {
+            "verdict": run.verdict,
+            "label": f"{module.name}!{request.spec}",
+            "checks": [_check_record(kind, res)
+                       for kind, res in run.checks],
+            "states": None, "edges": None, "stutter": None,
+            "graph_digest": None, "notes": run.notes, "error": None,
+        }
+        if run.explosion is not None:
+            result["error"] = str(run.explosion)
+        elif symbolic:
+            result["engine"] = "symbolic"
+            result["depth"] = run.plan.depth
+        else:
+            result["states"] = run.graph.state_count
+            result["edges"] = run.graph.edge_count
+            result["stutter"] = run.graph.stutter_count
+            result["graph_digest"] = graph_digest(run.graph)
+        result["stats"] = run.stats.as_dict()
+    finally:
+        run.close()
     return result
 
 

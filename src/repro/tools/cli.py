@@ -37,8 +37,8 @@ configuration) is written next to it.
 
 Scaling levers (see :mod:`repro.checker.reduction`): ``--por`` turns on
 Disjoint-derived partial-order reduction (sound for invariants and
-deadlock; auto-disabled with a warning when ``--property`` needs the
-full graph), ``--store spill --spill-dir DIR`` swaps the in-RAM state
+deadlock; dropped with a note when ``--property`` needs the full
+graph), ``--store spill --spill-dir DIR`` swaps the in-RAM state
 store for the fingerprint-indexed disk spill store so ``--max-states``
 can exceed resident memory.  Both default to off, which is the
 byte-identical legacy behaviour; on ``--resume`` they default to
@@ -52,6 +52,12 @@ the BFS keeps only fingerprints plus parent/level metadata, and
 counterexample traces are regenerated on demand by re-walking the
 parent chain through the compiled action plan.  Verdicts, traces, node
 numbering, and graph digests are identical to the full engine.
+
+``check`` and ``explore`` translate their flags into a
+:class:`~repro.engine.plan.CheckPlan` and run it with
+:func:`~repro.engine.plan.run_plan`, the path service jobs take too, so
+a flag combination is rejected, or falls back with a ``note:``, exactly
+as the same service request would.
 """
 
 from __future__ import annotations
@@ -61,23 +67,15 @@ import json
 import os
 import sys
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from ..checker import (
     CheckpointError,
     CompactUnsupported,
     ExploreStats,
     ReductionConfig,
-    build_store,
-    check_invariant,
-    check_invariant_compact,
-    check_temporal_implication,
     digest_of_graph,
-    explore_compact,
-    explore_parallel,
     manifest_path_for,
-    resume,
-    resume_compact,
     write_manifest,
 )
 from ..checker.graph import StateGraph, StateSpaceExplosion
@@ -86,6 +84,14 @@ from ..checker.simulate import random_walk
 from ..fmt import pretty
 from ..kernel.values import format_value
 from ..parser import TLAModule, load_module
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from ..engine.plan import PlanRun
+
+
+class _Refused(Exception):
+    """A usage error worded for the user: :func:`main` prints it after
+    ``error:`` and exits 2."""
 
 
 def _load(path: str) -> TLAModule:
@@ -130,97 +136,25 @@ def _spill_dir_problem(path: str) -> Optional[str]:
     return None
 
 
-def _symbolic_flags_error(args: argparse.Namespace, out) -> bool:
-    """Reject flag combinations the symbolic engine cannot honour.
-
-    The bounded symbolic engine solves a CNF unrolling: there is no
-    state graph, so every knob that shapes or persists the explicit
-    exploration is meaningless with it -- refused loudly rather than
-    silently ignored."""
-    engine = getattr(args, "engine", "explicit")
-    if engine != "symbolic":
-        if getattr(args, "depth", None) is not None:
-            print("error: --depth is the symbolic unrolling bound; it "
-                  "requires --engine symbolic", file=out)
-            return True
-        if getattr(args, "backend", "cdcl") != "cdcl":
-            print("error: --backend selects the symbolic engine's SAT "
-                  "solver; it requires --engine symbolic", file=out)
-            return True
-        return False
-    for flag, active in (
-            ("--por", bool(args.por)),
-            ("--compact", bool(args.compact)),
-            ("--store spill", args.store == "spill"),
-            ("--property", bool(getattr(args, "property", None))),
-            ("--checkpoint", bool(args.checkpoint)),
-            ("--resume", bool(args.resume)),
-            ("--worker-timeout", args.worker_timeout is not None),
-            ("--workers", args.workers != 1),
-    ):
-        if active:
-            print(f"error: --engine symbolic is incompatible with {flag}: "
-                  f"bounded model checking solves a CNF unrolling and "
-                  f"never builds the state graph those flags configure "
-                  f"(drop {flag} or use --engine explicit)", file=out)
-            return True
-    if not getattr(args, "invariant", None):
-        print("error: --engine symbolic needs at least one --invariant: "
-              "the CNF encodes 'reach a state violating the invariant "
-              "within --depth steps', so there is nothing to solve "
-              "without one", file=out)
-        return True
-    return False
-
-
-def _durability_error(args: argparse.Namespace, out) -> bool:
-    if _symbolic_flags_error(args, out):
-        return True
+def _durability_problem(args: argparse.Namespace) -> Optional[str]:
+    """What the checkpoint/spill flags are missing on disk (None = fine);
+    which flag combinations are valid is the :class:`CheckPlan` rule."""
     if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint PATH "
-              "(the snapshot to continue from)", file=out)
-        return True
-    if args.resume and args.checkpoint \
-            and not os.path.exists(args.checkpoint):
-        print(f"error: cannot resume: checkpoint file "
-              f"{args.checkpoint!r} does not exist (run with --checkpoint "
-              f"first to create one, or drop --resume)", file=out)
-        return True
+        return ("--resume requires --checkpoint PATH "
+                "(the snapshot to continue from)")
+    if args.resume and not os.path.exists(args.checkpoint):
+        return (f"cannot resume: checkpoint file {args.checkpoint!r} does "
+                f"not exist (run with --checkpoint first to create one, or "
+                f"drop --resume)")
     if args.store == "spill" and not args.spill_dir:
-        print("error: --store spill requires --spill-dir DIR "
-              "(where the state data/index files live)", file=out)
-        return True
-    if args.store == "spill" and args.spill_dir:
+        return ("--store spill requires --spill-dir DIR "
+                "(where the state data/index files live)")
+    if args.store == "spill":
         problem = _spill_dir_problem(args.spill_dir)
         if problem is not None:
-            print(f"error: --spill-dir {args.spill_dir!r} is not a "
-                  f"writable directory ({problem})", file=out)
-            return True
-    if args.compact and args.por:
-        print("error: --compact and --por are mutually exclusive: the "
-              "compact engine explores the full graph on packed ints and "
-              "has no reduction machinery (drop one of the flags)",
-              file=out)
-        return True
-    if args.compact and args.store == "spill":
-        print("error: --compact keeps only packed ints in RAM and does "
-              "not use a state store; drop --store spill (compact mode "
-              "is already the low-memory engine)", file=out)
-        return True
-    if args.compact and getattr(args, "property", None):
-        print("error: --compact cannot check temporal properties: "
-              "lasso search needs the full successor structure, which "
-              "the compact engine does not retain (drop --compact or "
-              "--property)", file=out)
-        return True
-    if args.workers == 1 and args.worker_timeout is not None:
-        # never silently accept an option the serial engine would ignore
-        print("error: --worker-timeout only applies to the multi-process "
-              "engine; --workers 1 runs the serial explorer, which would "
-              "silently ignore it (use --workers 2+ or --workers 0)",
-              file=out)
-        return True
-    return False
+            return (f"--spill-dir {args.spill_dir!r} is not a writable "
+                    f"directory ({problem})")
+    return None
 
 
 def _positive_int(text: str) -> int:
@@ -252,58 +186,6 @@ def _write_stats_json(args: argparse.Namespace,
         handle.write(stats.to_json(indent=2) + "\n")
 
 
-def _store_config(args: argparse.Namespace) -> dict:
-    """The StateStore config dict the --store flags describe."""
-    if args.store == "spill":
-        return {"kind": "spill", "spill_dir": args.spill_dir,
-                "hot_capacity": args.spill_cache}
-    return {"kind": "mem"}
-
-
-def _run_exploration(args: argparse.Namespace, spec,
-                     stats: Optional[ExploreStats],
-                     reduction: Optional[ReductionConfig]) -> StateGraph:
-    """Fresh exploration or checkpoint resume, per the durability flags.
-
-    *reduction* is the resolved request (None = off).  On ``--resume``,
-    flags the user left at their defaults are *not* forwarded, so the
-    run adopts the checkpoint's recorded configuration; explicit flags
-    are forwarded and act as assertions (mismatch -> CheckpointError).
-    """
-    if args.compact:
-        # fingerprint-only engine: no reduction, no state store -- the
-        # incompatible flag combinations were rejected in
-        # _durability_error, so plain dispatch is enough here
-        if args.resume:
-            return resume_compact(args.checkpoint, spec,
-                                  workers=args.workers,
-                                  max_states=args.max_states, stats=stats,
-                                  checkpoint_every=args.checkpoint_every,
-                                  worker_timeout=args.worker_timeout)
-        return explore_compact(spec, max_states=args.max_states,
-                               workers=args.workers, stats=stats,
-                               checkpoint=args.checkpoint,
-                               checkpoint_every=args.checkpoint_every,
-                               worker_timeout=args.worker_timeout)
-    if args.resume:
-        kwargs = {}
-        if args.por is not None:
-            kwargs["reduction"] = reduction
-        if args.store is not None:
-            kwargs["store"] = _store_config(args)
-        return resume(args.checkpoint, spec, workers=args.workers,
-                      max_states=args.max_states, stats=stats,
-                      checkpoint_every=args.checkpoint_every,
-                      worker_timeout=args.worker_timeout, **kwargs)
-    store = build_store(_store_config(args)) if args.store else None
-    return explore_parallel(spec, max_states=args.max_states,
-                            workers=args.workers, stats=stats,
-                            checkpoint=args.checkpoint,
-                            checkpoint_every=args.checkpoint_every,
-                            worker_timeout=args.worker_timeout,
-                            reduction=reduction, store=store)
-
-
 def _close_store(graph) -> None:
     """Release the graph's state-store resources; the compact engine has
     no store (fingerprints + packed ints only), so this is a no-op there."""
@@ -328,28 +210,29 @@ def _maybe_manifest(
     spec_name: str,
     wall_seconds: float,
     outcome: str,
+    workers: int,
     graph: Optional[StateGraph] = None,
     counterexample: Optional[Counterexample] = None,
     stats: Optional[ExploreStats] = None,
     error: Optional[str] = None,
     reduction: Optional[ReductionConfig] = None,
+    store: Optional[dict] = None,
 ) -> None:
-    """Write the run manifest next to the checkpoint (if one was asked for)."""
+    """Write the run manifest next to the checkpoint (if one was asked
+    for).  The store record is the graph's own store, ``compact`` for a
+    graph without one, and *store* -- what was asked for -- when the run
+    produced no graph."""
     if not args.checkpoint:
         return
-    store = getattr(graph, "store", None)  # CompactGraph has no store
-    if store is not None:
-        store_cfg = store.config()
-    elif graph is not None:
-        store_cfg = {"kind": "compact"} if getattr(args, "compact", False) \
-            else None
-    else:
-        store_cfg = _store_config(args) if args.store else None
+    if graph is not None:
+        graph_store = getattr(graph, "store", None)  # CompactGraph has none
+        store = (graph_store.config() if graph_store is not None
+                 else {"kind": "compact"})
     write_manifest(
         manifest_path_for(args.checkpoint),
         spec_name=spec_name,
         max_states=args.max_states,
-        workers=args.workers,
+        workers=workers,
         wall_seconds=wall_seconds,
         outcome=outcome,
         states=graph.state_count if graph is not None else None,
@@ -358,167 +241,107 @@ def _maybe_manifest(
         stats=stats,
         error=error,
         reduction=_reduction_manifest(reduction, graph),
-        store=store_cfg,
+        store=store,
     )
 
 
-def _cmd_check_symbolic(args: argparse.Namespace, out) -> int:
-    """Bounded symbolic checking: one CNF unrolling per invariant.
+def _run(args: argparse.Namespace, out) -> Tuple[str, "PlanRun", float]:
+    """Validate the flags as a plan, load the module and run the plan:
+    ``(label, run, start time)``, with every fallback note printed.  A
+    blown budget writes its manifest and stats, then raises."""
+    # the engine package loads on first use: importing it with the CLI
+    # would add ~20 ms to every command, ``repro serve`` boots included
+    from ..engine.plan import CheckPlan, run_plan
+    from ..engine.sat import BackendUnavailable
 
-    Exit codes: 0 when no violation was found within the bound (this
-    includes UNKNOWN -- the run says so explicitly, because a bounded
-    pass is not a proof), 1 for a violation, 2 when the spec cannot be
-    translated or the requested SAT backend is unavailable.
-    """
-    from ..engine import (
-        DEFAULT_DEPTH,
-        VIOLATION,
-        BackendUnavailable,
-        SolveStats,
-        SymbolicEngine,
-        SymbolicUnsupported,
-    )
-
+    plan = CheckPlan(
+        invariants=tuple(getattr(args, "invariant", None) or ()),
+        properties=tuple(getattr(args, "property", None) or ()),
+        engine=getattr(args, "engine", "explicit"),
+        depth=getattr(args, "depth", None),
+        backend=getattr(args, "backend", "cdcl"),
+        max_states=args.max_states, workers=args.workers,
+        compact=args.compact, por=args.por, store=args.store,
+        spill_dir=args.spill_dir, spill_cache=args.spill_cache,
+        checkpoint=args.checkpoint, checkpoint_every=args.checkpoint_every,
+        resume=args.resume, worker_timeout=args.worker_timeout)
+    try:
+        plan.validate()
+    except ValueError as exc:
+        raise _Refused(str(exc)) from None
+    problem = _durability_problem(args)
+    if problem is not None:
+        raise _Refused(problem)
     module = _load(args.module)
     spec = module.spec(args.spec)
     label = f"{module.name}!{args.spec}"
-    obligations = [(name, module.expr(name)) for name in args.invariant]
-    depth = args.depth if args.depth is not None else DEFAULT_DEPTH
-    engine = SymbolicEngine(depth=depth, backend=args.backend)
-    stats = SolveStats() if (args.stats or args.stats_json) else None
-    print(f"{label}: bounded symbolic check to depth {depth} "
-          f"({args.backend} backend)", file=out)
-    ok = True
+    stats = _want_stats(args)
+    start = perf_counter()
     try:
-        for name, expr in obligations:
-            result = engine.check_invariant(spec, expr, name=name,
-                                            stats=stats)
-            print(result.summary(), file=out)
-            if result.counterexample is not None:
-                print(result.counterexample.render(), file=out)
-            ok = ok and result.verdict != VIOLATION
-    except SymbolicUnsupported as exc:
-        print(f"error: the symbolic engine cannot translate this spec "
-              f"({exc}); rerun with --engine explicit", file=out)
-        return 2
-    except BackendUnavailable as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    if args.stats and stats is not None:
-        print(stats.summary(), file=out)
-    _write_stats_json(args, stats)
-    return 0 if ok else 1
+        run = run_plan(
+            plan, spec,
+            [module.expr(name) for name in plan.invariants],
+            [module.formula(name) for name in plan.properties],
+            stats)
+    except (CheckpointError, BackendUnavailable) as exc:
+        raise _Refused(str(exc)) from None
+    for note in run.notes:
+        print(f"note: {note}", file=out)
+    if run.explosion is not None:
+        _maybe_manifest(args, label, perf_counter() - start, "explosion",
+                        args.workers, stats=run.stats,
+                        error=str(run.explosion), reduction=run.reduction,
+                        store=run.plan.store_config())
+        _write_stats_json(args, run.stats)
+        raise run.explosion
+    return label, run, start
 
 
 def cmd_check(args: argparse.Namespace, out) -> int:
-    if _durability_error(args, out):
-        return 2
-    if getattr(args, "engine", "explicit") == "symbolic":
-        return _cmd_check_symbolic(args, out)
-    module = _load(args.module)
-    spec = module.spec(args.spec)
-    label = f"{module.name}!{args.spec}"
-    stats = _want_stats(args)
-    # resolve the invariants *before* exploring: their free variables are
-    # the observed set the reduction must keep visible (C2)
-    inv_exprs = [(name, module.expr(name)) for name in args.invariant or ()]
-    if args.por and args.property:
-        print("warning: partial-order reduction preserves invariant and "
-              "deadlock verdicts only; --property needs the full graph, "
-              "so reduction is disabled for this run", file=out)
-        args.por = False
-    reduction = None
-    if args.por:
-        observed = sorted({v for _name, expr in inv_exprs
-                           for v in expr.free_vars()})
-        reduction = ReductionConfig(tuple(observed))
-    start = perf_counter()
+    """Exit codes: 0 when nothing was violated (for the symbolic engine
+    this includes UNKNOWN -- the run says so, because a bounded pass is
+    not a proof), 1 for a violation, 2 for a usage error."""
+    label, run, start = _run(args, out)
     try:
-        graph = _run_exploration(args, spec, stats, reduction)
-    except StateSpaceExplosion as exc:
-        _maybe_manifest(args, label, perf_counter() - start, "explosion",
-                        stats=stats, error=str(exc), reduction=reduction)
-        _write_stats_json(args, stats)
-        raise
-    except (CheckpointError, CompactUnsupported) as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    try:
-        if getattr(graph, "reduction_used", False) and any(
-                not check_invariant(graph, expr, name=name).ok
-                for name, expr in inv_exprs):
-            # a reduced run may reach the violating state along a different
-            # shortest path; re-explore the full graph so the reported trace
-            # is the canonical POR-off counterexample (the verdict itself is
-            # already guaranteed identical by the ample conditions)
-            print("note: violation found under reduction; re-exploring the "
-                  "full graph for the canonical counterexample", file=out)
-            _close_store(graph)
-            graph = explore_parallel(spec, max_states=args.max_states,
-                                     workers=args.workers, stats=stats)
-        # edge_count is real N-edges; the stutter self-loops (one per node)
-        # are reported separately so the N-edge count is not inflated
-        print(f"{label}: {graph.state_count} states, "
-              f"{graph.edge_count} edges (+{graph.stutter_count} stutter)",
-              file=out)
-        ok = True
-        first_cex: Optional[Counterexample] = None
-        run_invariant = check_invariant_compact if args.compact \
-            else check_invariant
-        for name, expr in inv_exprs:
-            result = run_invariant(graph, expr, name=name, run_stats=stats)
-            if first_cex is None and result.counterexample is not None:
-                first_cex = result.counterexample
-            ok = _report(result, out) and ok
-        for name in args.property or ():
-            from ..checker.liveness import premises_of_spec
-
-            result = check_temporal_implication(
-                graph, module.formula(name),
-                premises=premises_of_spec(spec), name=name, run_stats=stats)
-            if first_cex is None and result.counterexample is not None:
-                first_cex = result.counterexample
-            ok = _report(result, out) and ok
-        if not (args.invariant or args.property):
+        graph = run.graph
+        if run.plan.engine == "symbolic":
+            print(f"{label}: bounded symbolic check to depth "
+                  f"{run.plan.depth} ({run.plan.backend} backend)", file=out)
+        else:
+            # edge_count is real N-edges; the stutter self-loops (one per
+            # node) are reported separately so the N-edge count is not
+            # inflated
+            print(f"{label}: {graph.state_count} states, "
+                  f"{graph.edge_count} edges (+{graph.stutter_count} "
+                  f"stutter)", file=out)
+        for _kind, result in run.checks:
+            _report(result, out)
+        if not run.checks:
             print("(no --invariant/--property given: exploration only)",
                   file=out)
-        if args.stats and stats is not None:
-            print(stats.summary(), file=out)
+        if args.stats and run.stats is not None:
+            print(run.stats.summary(), file=out)
+        violated = run.verdict == "violation"
+        first_cex = next((result.counterexample
+                          for _kind, result in run.checks
+                          if result.counterexample is not None), None)
         _maybe_manifest(args, label, perf_counter() - start,
-                        "ok" if ok else "violation", graph=graph,
-                        counterexample=first_cex, stats=stats,
-                        reduction=reduction)
-        _write_stats_json(args, stats)
-        return 0 if ok else 1
+                        "violation" if violated else "ok", args.workers,
+                        graph=graph, counterexample=first_cex,
+                        stats=run.stats, reduction=run.reduction)
+        _write_stats_json(args, run.stats)
+        return 1 if violated else 0
     finally:
-        # release spill-store handles even when a check raises mid-way
-        _close_store(graph)
+        run.close()
 
 
 def cmd_explore(args: argparse.Namespace, out) -> int:
-    if _durability_error(args, out):
-        return 2
-    module = _load(args.module)
-    spec = module.spec(args.spec)
-    label = f"{module.name}!{args.spec}"
-    stats = _want_stats(args)
-    # no property is being checked, so nothing is observed: every class
-    # is invisible and the reduction preserves reachability-of-deadlock
-    reduction = ReductionConfig(()) if args.por else None
-    start = perf_counter()
-    try:
-        graph = _run_exploration(args, spec, stats, reduction)
-    except StateSpaceExplosion as exc:
-        _maybe_manifest(args, label, perf_counter() - start, "explosion",
-                        stats=stats, error=str(exc), reduction=reduction)
-        _write_stats_json(args, stats)
-        raise
-    except (CheckpointError, CompactUnsupported) as exc:
-        print(f"error: {exc}", file=out)
-        return 2
+    label, run, start = _run(args, out)
+    graph = run.graph
     try:
         _maybe_manifest(args, label, perf_counter() - start, "ok",
-                        graph=graph, stats=stats, reduction=reduction)
+                        args.workers, graph=graph, stats=run.stats,
+                        reduction=run.reduction)
         print(f"{label}:", file=out)
         print(f"  states: {graph.state_count}", file=out)
         print(f"  edges:  {graph.edge_count} (+{graph.stutter_count} stutter)",
@@ -529,12 +352,12 @@ def cmd_explore(args: argparse.Namespace, out) -> int:
             print(f"  first {shown} state(s):", file=out)
             for node in range(shown):
                 print(f"    {graph.states[node]!r}", file=out)
-        if args.stats and stats is not None:
-            print(stats.summary(indent="  "), file=out)
-        _write_stats_json(args, stats)
+        if args.stats and run.stats is not None:
+            print(run.stats.summary(indent="  "), file=out)
+        _write_stats_json(args, run.stats)
         return 0
     finally:
-        _close_store(graph)
+        run.close()
 
 
 def cmd_trace(args: argparse.Namespace, out) -> int:
@@ -748,10 +571,6 @@ def cmd_coordinate(args: argparse.Namespace, out) -> int:
     start = perf_counter()
     pool = spawn_local_workers(args.spawn) if args.spawn else None
     urls = list(pool.urls) if pool is not None else list(args.worker_at)
-    # manifest bookkeeping reuses the check/explore helper, which reads
-    # these engine flags off the namespace
-    args.workers = len(urls)
-    args.store = None
     try:
         try:
             if args.resume:
@@ -770,10 +589,9 @@ def cmd_coordinate(args: argparse.Namespace, out) -> int:
                     heartbeat=args.heartbeat,
                     worker_timeout=args.worker_timeout)
         except StateSpaceExplosion as exc:
-            args.compact = getattr(exc, "graph", None) is not None \
-                and not hasattr(exc.graph, "store")
             _maybe_manifest(args, label, perf_counter() - start,
-                            "explosion", stats=stats, error=str(exc))
+                            "explosion", len(urls), stats=stats,
+                            error=str(exc))
             _write_stats_json(args, stats)
             raise
         except (CheckpointError, CompactUnsupported) as exc:
@@ -783,9 +601,8 @@ def cmd_coordinate(args: argparse.Namespace, out) -> int:
         if pool is not None:
             pool.terminate()
     try:
-        args.compact = not hasattr(graph, "store")
         _maybe_manifest(args, label, perf_counter() - start, "ok",
-                        graph=graph, stats=stats)
+                        len(urls), graph=graph, stats=stats)
         digest = graph.digest() if hasattr(graph, "digest") \
             else digest_of_graph(graph)
         print(f"{label}: {graph.state_count} states, "
@@ -862,9 +679,11 @@ def _add_engine_flags(sub: argparse.ArgumentParser) -> None:
                           "states plus BFS parents instead of full State "
                           "objects, and regenerate counterexample traces "
                           "on demand.  Verdicts, traces, and node "
-                          "numbering are identical to the full engine; "
-                          "incompatible with --por, --store spill, and "
-                          "--property (those need the full graph).")
+                          "numbering are identical to the full engine.  "
+                          "Rejected with --por or --store spill; with "
+                          "--property, or on a spec the packed codec "
+                          "cannot represent, the run falls back to the "
+                          "full engine with a note.")
     sub.add_argument("--stats", action="store_true",
                      help="print exploration statistics (states/sec, "
                           "depth, real-vs-stutter edges, per-phase timing, "
@@ -995,9 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "semantics as repro check --por)")
     submit.add_argument("--compact", action="store_true", default=False,
                         help="request the fingerprint-only compact engine "
-                             "(same semantics as repro check --compact; "
-                             "auto-disabled server-side when temporal "
-                             "properties need the full graph)")
+                             "(same semantics as repro check --compact)")
     submit.add_argument("--engine", choices=("explicit", "symbolic"),
                         default="explicit",
                         help="checking engine (same semantics as repro "
@@ -1136,6 +953,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, out)
+    except _Refused as exc:
+        print(f"error: {exc}", file=out)
+        return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=out)
         return 2

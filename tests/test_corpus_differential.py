@@ -32,7 +32,6 @@ from repro.checker import (
     ExploreStats,
     check_invariant,
     check_invariant_compact,
-    check_invariant_reduced,
     digest_of_graph,
     explore,
     explore_compact,
@@ -40,6 +39,7 @@ from repro.checker import (
     resume,
     resume_compact,
 )
+from repro.engine.plan import CheckPlan, run_plan
 from repro.systems.mutex import LamportMutex
 from repro.systems.paxos import Paxos, v1a, v2a
 
@@ -133,8 +133,8 @@ class TestReduction:
         spec = system.complete_spec()
         prop = case.property_of(system)
         res_full = check_invariant(explore(spec), prop, name=case.id)
-        res_reduced, _used = check_invariant_reduced(spec, prop,
-                                                     name=case.id)
+        [(_kind, res_reduced)] = run_plan(
+            CheckPlan(por=True, invariants=(case.id,)), spec, [prop]).checks
         assert res_reduced.ok is res_full.ok is case.expect_ok
         if not case.expect_ok:
             assert (res_reduced.counterexample.render()

@@ -7,7 +7,7 @@ Two claims, checked empirically against the unreduced serial explorer
   traces.**  For every bundled system and a battery of seeded random
   specs, POR-on and POR-off runs must agree on invariant verdicts,
   counterexample traces (via the canonicalising re-exploration in
-  :func:`~repro.checker.reduction.check_invariant_reduced`), and
+  :func:`~repro.engine.plan.run_plan`), and
   deadlock existence -- while the reduced runs are free to visit fewer
   states.  Reduced exploration must itself be bit-for-bit deterministic
   across worker counts (ample sets are computed in workers, the C3
@@ -37,7 +37,6 @@ from repro.checker import (
     build_store,
     check_deadlock_free,
     check_invariant,
-    check_invariant_reduced,
     decompose,
     explore,
     explore_compact,
@@ -45,6 +44,7 @@ from repro.checker import (
     resume,
     resume_compact,
 )
+from repro.engine.plan import CheckPlan, run_plan
 from repro.kernel.expr import Cmp, Const, Len, Var
 from repro.spec import Spec
 from repro.systems.handshake import ready
@@ -95,12 +95,20 @@ INVARIANT_CASES = [
 # ---------------------------------------------------------------------------
 
 
+def check_reduced(spec, invariant, name):
+    """One invariant checked under POR on the run path ``repro check``
+    and the service share."""
+    [(_kind, result)] = run_plan(CheckPlan(por=True, invariants=(name,)),
+                                 spec, [invariant]).checks
+    return result
+
+
 @pytest.mark.parametrize("make_spec,invariant,expected_ok", INVARIANT_CASES)
 def test_por_invariant_verdict_and_trace_identical(make_spec, invariant,
                                                    expected_ok):
     spec = make_spec()
     full = check_invariant(explore(spec), invariant, name="inv")
-    reduced, used = check_invariant_reduced(spec, invariant, name="inv")
+    reduced = check_reduced(spec, invariant, name="inv")
     assert full.ok == reduced.ok == expected_ok
     if not expected_ok:
         # the canonicalising re-exploration makes even the *trace* equal
@@ -114,8 +122,12 @@ def test_handshake_reduction_correct_but_unprofitable():
     case = next(c for c in CASES if c.id == "handshake")
     spec = case.make_spec()
     full = check_invariant(explore(spec), ready("c"), name="ready")
-    reduced, used = check_invariant_reduced(spec, ready("c"), name="ready")
-    assert not used  # dependent classes: no state is ample-expanded
+    run = run_plan(CheckPlan(por=True, invariants=("ready",)), spec,
+                   [ready("c")])
+    # dependent classes: no state is ample-expanded, so the reduced graph
+    # is reported as is (no canonicalising re-exploration)
+    assert not run.graph.reduction_used and not run.notes
+    [(_kind, reduced)] = run.checks
     assert full.ok == reduced.ok
     assert (reduced.counterexample.render()
             == full.counterexample.render())
@@ -183,8 +195,7 @@ def test_random_specs_reduction_and_stores_agree(seed, tmp_path):
     bound = rng.choice(list(universe.domain(name).values()))
     invariant = Cmp("<=", Var(name), bound)
     full_result = check_invariant(full, invariant, name="inv")
-    reduced_result, _used = check_invariant_reduced(spec, invariant,
-                                                    name="inv")
+    reduced_result = check_reduced(spec, invariant, name="inv")
     assert reduced_result.ok == full_result.ok
     if not full_result.ok:
         assert (reduced_result.counterexample.render()

@@ -562,8 +562,8 @@ class TestRequestValidation:
 
 class TestCompactRequests:
     """The compact engine through the service: same verdict, same trace,
-    same graph digest, a distinct cache identity, and the property /
-    unsupported-spec fallbacks ride the notes channel."""
+    same graph digest, the same cache identity as a full run, and the
+    property / unsupported-spec fallbacks ride the notes channel."""
 
     def test_verdict_trace_and_digest_match_full(self):
         full = run_check(counter_request(invariants=("Small", "TooSmall")))
@@ -579,18 +579,21 @@ class TestCompactRequests:
         assert compact["stats"]["fingerprint_collisions"] == 0
         assert "collision_probability_bound" in compact["stats"]
 
-    def test_compact_addresses_the_cache_separately(self):
+    def test_compact_shares_the_cache_key(self):
+        # compact results are digest-identical to full ones, so the flag
+        # must not split the cache
         assert (counter_request(compact=True).fingerprint()
-                != counter_request().fingerprint())
-        assert counter_request(compact=True).semantic_config()["compact"] \
-            is True
+                == counter_request().fingerprint())
+        assert "compact" not in counter_request(compact=True).semantic_config()
 
     def test_properties_auto_disable_compact_with_note(self):
         result = run_check(counter_request(
             properties=("Progress",), compact=True))
-        assert result["verdict"] == "ok"
-        assert any("compact engine disabled" in note
-                   for note in result["notes"])
+        full = run_check(counter_request(properties=("Progress",)))
+        assert result["verdict"] == full["verdict"] == "ok"
+        assert result["notes"] == ["compact engine disabled: temporal "
+                                   "properties need the full state graph"]
+        assert result["graph_digest"] == full["graph_digest"]
         assert result["stats"]["engine"] == "full"
 
     def test_explosion_verdict_matches_full(self):

@@ -35,9 +35,9 @@ from repro.engine import (
     HOLDS,
     UNKNOWN,
     VIOLATION,
+    CheckPlan,
     SymbolicEngine,
-    available_engines,
-    create_engine,
+    run_plan,
 )
 from repro.kernel import packed
 from repro.kernel.action import compile_action
@@ -219,24 +219,38 @@ class TestSupportsProbe:
         assert packed.supports(complete_queue(2).universe)
 
 
-class TestEngineRegistry:
-    def test_both_engines_are_registered(self):
-        assert set(available_engines()) >= {"explicit", "symbolic"}
+class TestPlanDispatch:
+    """``run_plan`` is the one place an engine name picks a checker."""
 
-    def test_create_engine_dispatches_options(self):
-        symbolic = create_engine("symbolic", depth=7)
-        assert symbolic.depth == 7
-        explicit = create_engine("explicit", mode="compact")
-        assert explicit.mode == "compact"
-        with pytest.raises(ValueError, match="unknown engine"):
-            create_engine("quantum")
+    def test_both_engines_dispatch(self):
+        spec = complete_queue(2)
+        invariant = Cmp("<=", Len(Var("q")), 1)
+        for engine in ("explicit", "symbolic"):
+            run = run_plan(CheckPlan(engine=engine, invariants=("cap",)),
+                           spec, [invariant])
+            assert run.plan.engine == engine
+            assert run.verdict == VIOLATION
+        with pytest.raises(ValueError, match="engine must be"):
+            run_plan(CheckPlan(engine="quantum", invariants=("cap",)),
+                     spec, [invariant])
+
+    def test_plan_carries_engine_options(self):
+        spec = complete_queue(2)
+        run = run_plan(CheckPlan(engine="symbolic", depth=7,
+                                 invariants=("cap",)),
+                       spec, [Cmp("<=", Len(Var("q")), 2)])
+        assert run.plan.depth == 7
+        [(_kind, result)] = run.checks
+        assert result.verdict == UNKNOWN and result.depth == 7
+        with pytest.raises(ValueError, match="requires engine symbolic"):
+            CheckPlan(depth=7).validate()
 
     def test_explicit_engine_agrees_with_direct_checker(self):
         spec = complete_queue(2)
         invariant = Cmp("<=", Len(Var("q")), 1)
-        engine = create_engine("explicit")
-        result = engine.check_invariant(spec, invariant, name="cap")
-        assert result.verdict == VIOLATION
+        run = run_plan(CheckPlan(invariants=("cap",)), spec, [invariant])
+        [(_kind, result)] = run.checks
+        assert not result.ok
         direct = check_invariant(explore(spec), invariant, name="cap")
         assert (result.counterexample.render()
                 == direct.counterexample.render())

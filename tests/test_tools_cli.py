@@ -520,13 +520,18 @@ class TestUsageErrorPaths:
                              "--store", "spill", "--spill-dir",
                              str(tmp_path / "spill"))
         assert code == 2
-        assert "--store spill" in text
+        assert "compact and store spill are mutually exclusive" in text
 
     def test_compact_excludes_temporal_properties(self, module_file):
+        # lasso search needs the full graph: the run falls back to the
+        # full engine with a note, as the same service request does
+        full = run_cli("check", module_file, "--property", "Progress")
         code, text = run_cli("check", module_file, "--compact",
                              "--property", "Progress")
-        assert code == 2
-        assert "temporal properties" in text
+        note = ("note: compact engine disabled: temporal properties need "
+                "the full state graph\n")
+        assert text.startswith(note)
+        assert (code, text[len(note):]) == full
 
     def test_explore_has_no_property_flag_so_compact_is_fine(
             self, module_file):
